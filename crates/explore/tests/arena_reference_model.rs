@@ -7,6 +7,11 @@
 //! one heap pair per site. Every operation's result, every collection
 //! outcome and every settle-point delta must agree exactly; a divergence
 //! pinpoints the arena optimization that changed observable behaviour.
+//!
+//! After every settle an alloc-only window follows, then another collect.
+//! The arena heap enters that collect with nothing orphaned since its last
+//! sweep, so it takes the young-walk skip path (or falls back to a sweep
+//! when a fresh object is garbage); `RefHeap` always sweeps.
 
 use std::collections::BTreeMap;
 
@@ -105,6 +110,7 @@ fn replay_corpus_stream(seed: u64, index: u32) {
                     let ctx = format!("settle take_delta (step {step_no})");
                     pair.both(&ctx, |h| h.take_delta());
                     pair.assert_equivalent(&format!("settle (step {step_no})"));
+                    young_window(pair, step_no);
                 }
             }
             // Membership changes live above the heap layer (reference
@@ -122,6 +128,34 @@ fn replay_corpus_stream(seed: u64, index: u32) {
         "corpus stream (seed {seed}, index {index}) allocated nothing — \
          the differential replay exercised no ops"
     );
+}
+
+/// Allocates a young chain hung off the lowest-id live object, plus an
+/// unreachable young pair on odd steps, then collects and takes a delta.
+fn young_window(pair: &mut SitePair, step_no: usize) {
+    assert!(
+        !pair.arena.may_have_garbage(),
+        "a settle's sweep must leave the arena heap clean (step {step_no})"
+    );
+    let ctx = format!("young window (step {step_no})");
+    let parent = pair.arena.iter().next().map(|obj| obj.id());
+    let head = pair.both(&ctx, |h| h.alloc());
+    let tail = pair.both(&ctx, |h| h.alloc());
+    pair.both(&ctx, |h| h.add_ref(head, ObjRef::Local(tail)))
+        .unwrap();
+    if let Some(parent) = parent {
+        pair.both(&ctx, |h| h.add_ref(parent, ObjRef::Local(head)))
+            .unwrap();
+    }
+    if step_no % 2 == 1 {
+        let a = pair.both(&ctx, |h| h.alloc());
+        let b = pair.both(&ctx, |h| h.alloc());
+        pair.both(&ctx, |h| h.add_ref(a, ObjRef::Local(b))).unwrap();
+        pair.both(&ctx, |h| h.add_ref(b, ObjRef::Local(a))).unwrap();
+    }
+    pair.both(&format!("{ctx} collect"), |h| h.collect());
+    pair.both(&format!("{ctx} take_delta"), |h| h.take_delta());
+    pair.assert_equivalent(&ctx);
 }
 
 fn apply_op(

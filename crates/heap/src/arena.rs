@@ -37,6 +37,9 @@ const VACANT: ObjRef = ObjRef::Local(ObjectId::new(0));
 pub(crate) const FLAG_LOCAL_ROOT: u8 = 1;
 /// Slot flag: the object is in the conservative global root set.
 pub(crate) const FLAG_GLOBAL_ROOT: u8 = 2;
+/// Slot flag: the object was allocated since the last collection, while the
+/// delta tracker was active (see `SiteHeap::collect`'s young walk).
+pub(crate) const FLAG_YOUNG: u8 = 4;
 
 /// The placement of an object in its site's slab: a dense index plus the
 /// generation the slot carried when the handle was minted.

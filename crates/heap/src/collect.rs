@@ -77,7 +77,24 @@ impl SiteHeap {
     ///
     /// Marking runs over the arena with the heap's reusable scratch buffers,
     /// so a collection allocates only for its outcome report.
+    ///
+    /// A collection that provably frees nothing skips the sweep: no object
+    /// was orphaned since the last collection, and a walk over the objects
+    /// allocated since then finds each of them live (see DESIGN.md,
+    /// "Collection skipping"). The outcome and statistics are exactly those
+    /// the sweep would have produced.
     pub fn collect(&mut self) -> CollectionOutcome {
+        if !self.begin_collection() {
+            debug_assert!(
+                self.would_collect().is_empty(),
+                "skipped a collection that would free objects"
+            );
+            self.stats_mut().collections += 1;
+            return CollectionOutcome {
+                live: self.len(),
+                ..CollectionOutcome::default()
+            };
+        }
         let mut freed = BTreeSet::new();
         let mut freed_slots: Vec<u32> = Vec::new();
         let mut freed_remote: BTreeSet<GlobalAddr> = BTreeSet::new();
@@ -108,14 +125,16 @@ impl SiteHeap {
         self.drop_roots_of_collected(&freed);
 
         // A proxy is dropped only when no live object still holds it.
-        let still_held = self.remote_targets();
         let mut dropped_proxies = BTreeSet::new();
         let mut surviving_proxies = BTreeSet::new();
-        for addr in &freed_remote {
-            if still_held.contains(addr) {
-                surviving_proxies.insert(*addr);
-            } else {
-                dropped_proxies.insert(*addr);
+        if !freed_remote.is_empty() {
+            let still_held = self.remote_targets();
+            for addr in freed_remote {
+                if still_held.contains(&addr) {
+                    surviving_proxies.insert(addr);
+                } else {
+                    dropped_proxies.insert(addr);
+                }
             }
         }
 
@@ -259,6 +278,151 @@ mod tests {
     fn stats_display_is_nonempty() {
         assert!(!HeapStats::default().to_string().is_empty());
         assert!(!CollectionOutcome::default().to_string().is_empty());
+    }
+
+    /// A heap whose delta tracker is active and whose flag is down: a local
+    /// root holding `old`, both past their first collection.
+    fn clean_tracked() -> (SiteHeap, ObjectId, ObjectId) {
+        let mut h = heap();
+        let root = h.alloc_local_root();
+        let old = h.alloc();
+        h.add_ref(root, ObjRef::Local(old)).unwrap();
+        h.take_delta();
+        assert!(h.collect().is_noop());
+        assert!(!h.may_have_garbage());
+        (h, root, old)
+    }
+
+    #[test]
+    fn clean_heap_skips_with_the_outcome_of_a_sweep() {
+        let (mut h, _, _) = clean_tracked();
+        let outcome = h.collect();
+        assert_eq!(
+            outcome,
+            CollectionOutcome {
+                live: 2,
+                ..Default::default()
+            }
+        );
+        assert_eq!(h.stats().collections, 2);
+        assert_eq!(h.stats().collected, 0);
+    }
+
+    #[test]
+    fn unlink_raises_the_flag() {
+        let (mut h, root, old) = clean_tracked();
+        // A remote unlink cannot orphan a local object.
+        h.add_ref(old, ObjRef::Remote(GlobalAddr::new(4, 4)))
+            .unwrap();
+        h.remove_ref(old, ObjRef::Remote(GlobalAddr::new(4, 4)))
+            .unwrap();
+        assert!(!h.may_have_garbage());
+        // Nor can an unlink that finds no matching reference.
+        assert!(!h.remove_ref(old, ObjRef::Local(root)).unwrap());
+        assert!(!h.may_have_garbage());
+        h.remove_ref(root, ObjRef::Local(old)).unwrap();
+        assert!(h.may_have_garbage());
+        assert_eq!(h.collect().freed, BTreeSet::from([old]));
+        assert!(!h.may_have_garbage());
+    }
+
+    #[test]
+    fn clear_refs_raises_the_flag() {
+        let (mut h, root, old) = clean_tracked();
+        h.clear_refs(root).unwrap();
+        assert!(h.may_have_garbage());
+        assert_eq!(h.collect().freed, BTreeSet::from([old]));
+    }
+
+    #[test]
+    fn local_root_removal_raises_the_flag() {
+        let (mut h, root, old) = clean_tracked();
+        h.remove_local_root(root);
+        assert!(h.may_have_garbage());
+        assert_eq!(h.collect().freed, BTreeSet::from([root, old]));
+    }
+
+    #[test]
+    fn unregister_raises_the_flag() {
+        let (mut h, _, _) = clean_tracked();
+        let exported = h.alloc();
+        h.register_global_root(exported).unwrap();
+        assert!(h.collect().is_noop());
+        assert!(!h.may_have_garbage());
+        h.unregister_global_root(exported);
+        assert!(h.may_have_garbage());
+        assert_eq!(h.collect().freed, BTreeSet::from([exported]));
+    }
+
+    #[test]
+    fn restored_heap_starts_raised() {
+        let (mut h, root, old) = clean_tracked();
+        h.remove_ref(root, ObjRef::Local(old)).unwrap();
+        let mut back = SiteHeap::from_image(&h.image());
+        assert!(back.may_have_garbage());
+        assert_eq!(back.collect().freed, BTreeSet::from([old]));
+        assert!(!back.may_have_garbage());
+    }
+
+    #[test]
+    fn alloc_without_tracker_raises_the_flag() {
+        let mut h = heap();
+        let _root = h.alloc_local_root();
+        assert!(h.collect().is_noop());
+        assert!(!h.may_have_garbage());
+        let garbage = h.alloc();
+        assert!(h.may_have_garbage());
+        assert_eq!(h.collect().freed, BTreeSet::from([garbage]));
+    }
+
+    #[test]
+    fn young_chain_hung_off_an_old_parent_survives_the_skip() {
+        let (mut h, root, old) = clean_tracked();
+        let a = h.alloc();
+        let b = h.alloc();
+        let c = h.alloc();
+        // Linked deepest-first, so the walk must follow young edges.
+        h.add_ref(b, ObjRef::Local(c)).unwrap();
+        h.add_ref(a, ObjRef::Local(b)).unwrap();
+        h.add_ref(c, ObjRef::Local(a)).unwrap();
+        h.add_ref(old, ObjRef::Local(a)).unwrap();
+        let exported = h.alloc();
+        h.register_global_root(exported).unwrap();
+        let rooted = h.alloc_local_root();
+        assert!(h.may_have_garbage());
+        let outcome = h.collect();
+        assert_eq!(
+            outcome,
+            CollectionOutcome {
+                live: 7,
+                ..Default::default()
+            }
+        );
+        assert!(!h.may_have_garbage());
+        // Once old, the chain is freed by the sweep its unlink forces.
+        h.remove_ref(root, ObjRef::Local(old)).unwrap();
+        assert_eq!(h.collect().freed, BTreeSet::from([old, a, b, c]));
+        assert!(h.contains(exported) && h.contains(rooted));
+    }
+
+    #[test]
+    fn unlinked_young_allocs_are_still_freed() {
+        let (mut h, root, old) = clean_tracked();
+        let lone = h.alloc();
+        // A young cycle, one end pointing at an old object: neither is
+        // anchored, since only predecessors count.
+        let x = h.alloc();
+        let y = h.alloc();
+        h.add_ref(x, ObjRef::Local(y)).unwrap();
+        h.add_ref(y, ObjRef::Local(x)).unwrap();
+        h.add_ref(y, ObjRef::Local(old)).unwrap();
+        let kept = h.alloc();
+        h.add_ref(root, ObjRef::Local(kept)).unwrap();
+        let outcome = h.collect();
+        assert_eq!(outcome.freed, BTreeSet::from([lone, x, y]));
+        assert_eq!(outcome.live, 3);
+        assert!(!h.may_have_garbage());
+        assert!(h.collect().is_noop());
     }
 
     #[test]

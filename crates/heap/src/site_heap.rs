@@ -13,7 +13,9 @@ use std::fmt;
 
 use ggd_types::{GlobalAddr, ObjectId, SiteId};
 
-use crate::arena::{Arena, ObjectSlot, ObjectView, Scratch, FLAG_GLOBAL_ROOT, FLAG_LOCAL_ROOT};
+use crate::arena::{
+    Arena, ObjectSlot, ObjectView, Scratch, FLAG_GLOBAL_ROOT, FLAG_LOCAL_ROOT, FLAG_YOUNG,
+};
 use crate::collect::HeapStats;
 use crate::object::ObjRef;
 use crate::snapshot::DeltaTracker;
@@ -71,6 +73,13 @@ pub struct SiteHeap {
     tracker: DeltaTracker,
     /// Reusable traversal buffers (marks, stack, visit list).
     scratch: Scratch,
+    /// Collection skipping: while this is down, every object not in
+    /// `young` is reachable from the local and global roots. Raised by the
+    /// mutations that can orphan an object; lowered by every collection.
+    garbage_possible: bool,
+    /// Slots allocated since the last collection while the flag was down
+    /// and the delta tracker active (each carries `FLAG_YOUNG`).
+    young: Vec<u32>,
 }
 
 impl PartialEq for SiteHeap {
@@ -103,6 +112,8 @@ impl SiteHeap {
             stats: HeapStats::default(),
             tracker: DeltaTracker::default(),
             scratch: Scratch::default(),
+            garbage_possible: true,
+            young: Vec::new(),
         }
     }
 
@@ -115,9 +126,19 @@ impl SiteHeap {
     pub fn alloc(&mut self) -> ObjectId {
         let id = ObjectId::new(self.next_object);
         self.next_object += 1;
-        self.arena.insert(id);
+        let slot = self.arena.insert(id);
         self.tracker.grow_to(self.arena.slot_count());
         self.stats.allocated += 1;
+        if !self.garbage_possible {
+            // With the tracker's reverse edges at hand, `collect` can prove
+            // a fresh object live by a walk over the young objects alone.
+            if self.tracker.is_active() {
+                self.arena.set_flag(slot, FLAG_YOUNG);
+                self.young.push(slot);
+            } else {
+                self.garbage_possible = true;
+            }
+        }
         id
     }
 
@@ -190,6 +211,13 @@ impl SiteHeap {
         self.arena.iter_id_order()
     }
 
+    /// Conservative: false only when the next [`SiteHeap::collect`] is
+    /// certain to free nothing (no orphaning mutation and no allocation
+    /// since the last collection).
+    pub fn may_have_garbage(&self) -> bool {
+        self.garbage_possible || !self.young.is_empty()
+    }
+
     /// Allocation and collection statistics.
     pub fn stats(&self) -> &HeapStats {
         &self.stats
@@ -232,6 +260,7 @@ impl SiteHeap {
                 self.arena.clear_flag(slot, FLAG_LOCAL_ROOT);
             }
             self.tracker.note_anchor_dirty();
+            self.garbage_possible = true;
         }
         removed
     }
@@ -272,6 +301,7 @@ impl SiteHeap {
                 self.arena.clear_flag(slot, FLAG_GLOBAL_ROOT);
             }
             self.tracker.note_root_removed(id);
+            self.garbage_possible = true;
         }
         removed
     }
@@ -327,6 +357,10 @@ impl SiteHeap {
             // objects are dropped; the tracker then only records the dirt.
             let target_slot = to.as_local().and_then(|t| self.arena.slot_of(t));
             self.tracker.note_ref_removed(from_slot, target_slot);
+            // Only a local edge can orphan a local object.
+            if to.as_local().is_some() {
+                self.garbage_possible = true;
+            }
         }
         Ok(removed)
     }
@@ -348,6 +382,7 @@ impl SiteHeap {
             }
         }
         self.arena.clear_refs(from_slot);
+        self.garbage_possible = true;
         Ok(())
     }
 
@@ -485,6 +520,20 @@ impl SiteHeap {
 
     pub(crate) fn put_tracker(&mut self, tracker: DeltaTracker) {
         self.tracker = tracker;
+    }
+
+    /// Starts a collection and returns whether it must sweep: false when
+    /// the flag is down and the young walk proves every young object live.
+    /// Either way the young list is retired and the flag lowered, since the
+    /// caller follows up with a full sweep whenever this returns true.
+    pub(crate) fn begin_collection(&mut self) -> bool {
+        let sweep = self.garbage_possible || !self.tracker.young_all_live(&self.arena, &self.young);
+        for &slot in &self.young {
+            self.arena.clear_flag(slot, FLAG_YOUNG);
+        }
+        self.young.clear();
+        self.garbage_possible = false;
+        sweep
     }
 
     /// Tracker bookkeeping for a sweep, while the doomed slots are still

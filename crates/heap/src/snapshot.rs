@@ -34,7 +34,7 @@ use std::fmt;
 
 use ggd_types::{GlobalAddr, ObjectId, SiteId, VertexId};
 
-use crate::arena::{FLAG_GLOBAL_ROOT, FLAG_LOCAL_ROOT};
+use crate::arena::{Arena, FLAG_GLOBAL_ROOT, FLAG_LOCAL_ROOT, FLAG_YOUNG};
 use crate::site_heap::SiteHeap;
 
 /// A point-in-time view of the edges this site contributes to the global
@@ -504,15 +504,54 @@ impl DeltaTracker {
             .sum()
     }
 
-    /// Computes the reverse-edge closure of the dirty slots into
-    /// `self.affected`: every slot that can currently reach a dirty slot —
-    /// the only candidates whose forward-reachable sets can have changed.
-    fn compute_affected(&mut self) {
+    /// Starts a fresh marking pass: old marks lapse without clearing.
+    fn next_epoch(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             self.mark.fill(0);
             self.epoch = 1;
         }
+    }
+
+    /// The young walk behind collection skipping. When every older object
+    /// is known to be live, a young slot is live exactly when it is rooted,
+    /// has an older predecessor, or is reached from a live young slot.
+    /// Returns true when that accounts for every slot in `young` — the
+    /// reverse-edge lists play the remembered set.
+    pub(crate) fn young_all_live(&mut self, arena: &Arena, young: &[u32]) -> bool {
+        self.next_epoch();
+        self.stack.clear();
+        for &slot in young {
+            let anchored = arena.has_flag(slot, FLAG_LOCAL_ROOT | FLAG_GLOBAL_ROOT)
+                || self.preds[slot as usize]
+                    .iter()
+                    .any(|&(pred, _)| !arena.has_flag(pred, FLAG_YOUNG));
+            if anchored {
+                self.mark[slot as usize] = self.epoch;
+                self.stack.push(slot);
+            }
+        }
+        let mut live = 0;
+        while let Some(slot) = self.stack.pop() {
+            live += 1;
+            for target in arena.refs(slot).filter_map(|r| r.as_local()) {
+                let Some(t) = arena.slot_of(target) else {
+                    continue;
+                };
+                if arena.has_flag(t, FLAG_YOUNG) && self.mark[t as usize] != self.epoch {
+                    self.mark[t as usize] = self.epoch;
+                    self.stack.push(t);
+                }
+            }
+        }
+        live == young.len()
+    }
+
+    /// Computes the reverse-edge closure of the dirty slots into
+    /// `self.affected`: every slot that can currently reach a dirty slot —
+    /// the only candidates whose forward-reachable sets can have changed.
+    fn compute_affected(&mut self) {
+        self.next_epoch();
         self.affected.clear();
         self.stack.clear();
         for i in 0..self.dirty_list.len() {

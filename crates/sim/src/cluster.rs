@@ -865,7 +865,9 @@ where
         if !self.site_is_up(site) {
             return;
         }
-        let live = if self.config.safety_oracle {
+        // A heap that cannot have garbage frees nothing, so there is no
+        // sweep for the O(cluster) safety pass to police.
+        let live = if self.config.safety_oracle && self.heap(site).may_have_garbage() {
             Some(Oracle::reachable(self.heaps()))
         } else {
             None
