@@ -9,7 +9,7 @@
 //!   target's reference list up to date, and distributed cycles of garbage
 //!   are never reclaimed. Used by experiments E5 and E6.
 //! * [`TracingEngine`] — a conceptually centralised graph-tracing GGD in the
-//!   spirit of Ladin & Liskov [11] (§2.4): every site eagerly reports its
+//!   spirit of Ladin & Liskov \[11\] (§2.4): every site eagerly reports its
 //!   portion of the global root graph to a coordinator, which can only
 //!   declare garbage once it has heard from *every* site — the paper's
 //!   "consensus bottleneck". It is comprehensive (collects cycles) but its

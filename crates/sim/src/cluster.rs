@@ -1,28 +1,30 @@
 //! The cluster: site runtimes (heap + collector) over any transport.
 //!
 //! [`Cluster`] is generic over [`ggd_net::Transport`], so the one drive loop
-//! here — mutator-op execution, the settle loop, snapshot plumbing and
-//! verdict bookkeeping — runs unchanged over the deterministic
-//! [`SimNetwork`] (experiments, bit-for-bit reproducible) and the
-//! [`ThreadedNetwork`] (real OS threads, scheduler-dependent interleaving).
-//! Per-site behavior lives in [`SiteRuntime`](crate::SiteRuntime).
+//! here — the settle loop, the mid-run safety oracle and the transport-side
+//! bookkeeping — runs unchanged over the deterministic [`SimNetwork`]
+//! (experiments, bit-for-bit reproducible) and the [`ThreadedNetwork`] (real
+//! OS threads, scheduler-dependent interleaving). Name resolution, skip
+//! analysis, the crash schedule and membership sequencing come from the
+//! [`Plan`](crate::plan::Plan) shared with the parallel driver; the sites
+//! themselves live in a [`Fleet`](crate::fleet::Fleet).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use ggd_heap::SiteHeap;
-use ggd_mutator::{MembershipEvent, MembershipKind, MutatorOp, ObjName, Scenario, Step};
+use ggd_mutator::{MembershipEvent, MutatorOp, ObjName, Scenario};
 use ggd_net::{FaultPlan, SimNetwork, SimNetworkConfig, ThreadedNetwork, Transport};
-use ggd_obs::{ObsConfig, ObsReport, SiteObs};
-use ggd_store::{
-    DurabilityConfig, MembershipAnnouncement, MembershipChange, SiteStore, StoreStats,
-};
+use ggd_obs::{ObsConfig, ObsReport};
+use ggd_store::{DurabilityConfig, MembershipAnnouncement, StoreStats};
 use ggd_types::{GlobalAddr, SiteId};
 
 use crate::collector::{Collector, SimPayload};
+use crate::fleet::{Fleet, Link};
 use crate::oracle::Oracle;
+use crate::plan::{Executor, Plan, SiteOp};
 use crate::report::RunReport;
-use crate::runtime::{SiteRuntime, SiteTick, SyncMode};
+use crate::runtime::SyncMode;
 
 /// Configuration of a cluster run.
 ///
@@ -82,16 +84,6 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Stable numeric code for a membership change in trace-event fields
-/// (events carry `u64` fields only). Shared by both drivers.
-pub(crate) fn membership_kind_code(kind: MembershipChange) -> u64 {
-    match kind {
-        MembershipChange::Join => 0,
-        MembershipChange::PlannedLeave => 1,
-        MembershipChange::Evict => 2,
-    }
-}
-
 impl ClusterConfig {
     pub(crate) fn settle_rounds(&self) -> u32 {
         if self.max_settle_rounds == 0 {
@@ -102,8 +94,8 @@ impl ClusterConfig {
     }
 }
 
-/// A cluster of sites, each a [`SiteRuntime`] pairing a heap with a
-/// garbage-detection engine, connected by a [`Transport`].
+/// A cluster of sites, each a [`SiteRuntime`](crate::SiteRuntime) pairing a
+/// heap with a garbage-detection engine, connected by a [`Transport`].
 ///
 /// The transport defaults to the deterministic [`SimNetwork`], so
 /// experiment code reads exactly as before the transport abstraction:
@@ -113,145 +105,49 @@ where
     C: Collector,
     T: Transport<SimPayload<C::Msg>>,
 {
+    plan: Plan,
+    exec: Local<C, T>,
+}
+
+/// The in-thread executor: the whole fleet over one transport.
+struct Local<C: Collector, T> {
     config: ClusterConfig,
-    sites: BTreeMap<SiteId, SiteRuntime<C>>,
-    /// Sites currently down: their durable store, held until restart.
-    downed: BTreeMap<SiteId, DownedSite<C::Msg>>,
-    /// One flag per entry of the fault plan's crash schedule.
-    crashes_applied: Vec<bool>,
-    /// Collector factory, retained so crashed sites can be rebuilt.
+    fleet: Fleet<C>,
+    /// Collector factory, retained so crashed and joining sites can be
+    /// built.
     factory: Box<dyn Fn(SiteId) -> C>,
-    recoveries: u64,
-    net: T,
-    names: BTreeMap<ObjName, GlobalAddr>,
-    /// Mutator-legality tracking, maintained only under crash plans: which
-    /// sites hold (a copy of) each named object's reference, and which
-    /// objects are addressable (local roots, or targets of an executed
-    /// send). When a crash skips an op, later ops that causally depended on
-    /// it are skipped too — otherwise a `SendRef` could forward a reference
-    /// its sender never held, an illegal computation outside every
-    /// collector's safety contract.
-    legality: Option<Legality>,
-    /// Current expected membership: founding sites, plus joins, minus
-    /// departures. Crashed sites stay members (they come back).
-    membership: BTreeSet<SiteId>,
-    /// Sites gone through a planned leave: their objects and references
-    /// dissolved with them, and no trace of them may survive anywhere.
-    departed: BTreeSet<SiteId>,
-    /// Sites evicted without warning, with their last heap: the oracle
-    /// conservatively keeps treating their objects as existing (exactly like
-    /// a crashed site's), so an unsafe sweep of an object reachable only
-    /// through the evicted site is still caught.
-    evicted: BTreeMap<SiteId, SiteHeap>,
-    /// Every membership announcement so far, in epoch order — late joiners
-    /// catch up on it before applying their own join.
-    membership_log: Vec<MembershipAnnouncement>,
-    reclaimed: u64,
-    reclaimed_addrs: BTreeSet<GlobalAddr>,
+    net: Stamped<T>,
     safety_violations: u64,
-    verdicts: u64,
+}
+
+/// The transport plus the clock stamps of the run report.
+struct Stamped<T> {
+    transport: T,
     triggered_at: Option<u64>,
     last_verdict_at: Option<u64>,
-    /// The logical step clock: counts scenario steps during
-    /// [`Cluster::run`]. Both drivers count the same steps, so timestamps
-    /// derived from it (unlike transport-clock ones) compare across drivers.
-    step: u64,
     triggered_step: Option<u64>,
     last_verdict_step: Option<u64>,
-    /// Cluster-scope observability handle (disabled unless
-    /// [`ClusterConfig::obs`] turns it on).
-    obs: SiteObs,
 }
 
-/// A site that is currently crashed: its durable medium, its scheduled
-/// restart time (transport time), and its heap as of the crash — kept for
-/// the *oracle only*. The durable store provably restores exactly this
-/// heap on recovery, so the site's objects still exist in the ground-truth
-/// object graph while it is down; excluding them would let an unsafe sweep
-/// of an object reachable only through the downed site go undetected.
-#[derive(Debug)]
-struct DownedSite<M> {
-    store: SiteStore<M>,
-    restart_after: u64,
-    heap: SiteHeap,
-    /// Membership protocol steps the site missed while down: applied (and
-    /// thereby WAL-logged) in order right after recovery, so a recovered
-    /// site never runs with a stale view of the fleet — and a survivor that
-    /// was down across a planned leave still performs its reference
-    /// handoff before anyone can observe it.
-    pending_catchup: Vec<Catchup>,
-    /// The site's observability handle, carried across the crash: the
-    /// measurement layer sits outside the failure model, so measurements
-    /// survive and are re-attached after recovery (replay does not
-    /// double-count — the recovered runtime replays with a disabled handle).
-    obs: SiteObs,
-}
-
-/// One membership protocol step deferred for a crashed site, replayed in
-/// order at recovery. Shared with the parallel driver's workers.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Catchup {
-    /// Sever this site's references towards `departing` (the handoff half
-    /// of a planned leave it slept through).
-    Handoff { departing: SiteId, epoch: u64 },
-    /// Apply a membership announcement broadcast while the site was down.
-    Announce(MembershipAnnouncement),
-}
-
-/// Monotone mutator-legality state (the executable mirror of the
-/// explorer's `sanitize` pass): `holders[name]` is the set of sites that
-/// have legally held `name`'s reference, `anchored` the set of objects a
-/// mutator message can legally be addressed to. Shared with the parallel
-/// driver, whose coordinator performs the same skip analysis before
-/// dispatching ops to workers.
-#[derive(Debug, Default)]
-pub(crate) struct Legality {
-    holders: BTreeMap<ObjName, BTreeSet<SiteId>>,
-    anchored: BTreeSet<ObjName>,
-}
-
-impl Legality {
-    /// Records a successful `Alloc`: `site` holds `name`, and a local root
-    /// makes it addressable.
-    pub(crate) fn note_alloc(&mut self, name: ObjName, site: SiteId, local_root: bool) {
-        self.holders.entry(name).or_default().insert(site);
-        if local_root {
-            self.anchored.insert(name);
-        }
+impl<M, T> Link<M> for Stamped<T>
+where
+    SimPayload<M>: ggd_net::Payload,
+    T: Transport<SimPayload<M>>,
+{
+    fn send(&mut self, from: SiteId, to: SiteId, payload: SimPayload<M>) {
+        self.transport.send(from, to, payload);
     }
 
-    /// Judges a `SendRef` and, when legal, records its effects. Skipped ops
-    /// may have broken the causal chain that made this send legal in the
-    /// generated scenario: the sender must actually have held the target's
-    /// reference, and the recipient must be addressable. Holding is
-    /// recorded at *send* time, deliberately mirroring the explorer's
-    /// `sanitize` (and the generator's own forwarders model): a transfer
-    /// lost en route — to a drop plan or to a crashed inbox — still
-    /// legalizes later forwards, because the sender legitimately performed
-    /// the send and message loss is squarely inside the collectors' fault
-    /// contract (the export registered the target as a global root, so a
-    /// forwarded-but-never-received reference can only add conservatism,
-    /// never an unsafe free).
-    pub(crate) fn approve_send(
-        &mut self,
-        target: ObjName,
-        from_site: SiteId,
-        recipient: ObjName,
-        recipient_site: SiteId,
-    ) -> bool {
-        let sender_holds = self
-            .holders
-            .get(&target)
-            .is_some_and(|sites| sites.contains(&from_site));
-        if !sender_holds || !self.anchored.contains(&recipient) {
-            return false;
+    fn stamp_verdict(&mut self, step: u64) {
+        self.last_verdict_at = Some(self.transport.now());
+        self.last_verdict_step = Some(step);
+    }
+
+    fn stamp_trigger(&mut self, step: u64) {
+        if self.triggered_at.is_none() {
+            self.triggered_at = Some(self.transport.now());
+            self.triggered_step = Some(step);
         }
-        self.anchored.insert(target);
-        self.holders
-            .entry(target)
-            .or_default()
-            .insert(recipient_site);
-        true
     }
 }
 
@@ -262,11 +158,10 @@ where
 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Cluster")
-            .field("config", &self.config)
-            .field("sites", &self.sites)
-            .field("downed", &self.downed.keys().collect::<Vec<_>>())
-            .field("recoveries", &self.recoveries)
-            .field("net", &self.net)
+            .field("config", &self.exec.config)
+            .field("plan", &self.plan)
+            .field("recoveries", &self.exec.fleet.recoveries)
+            .field("net", &self.exec.net.transport)
             .finish_non_exhaustive()
     }
 }
@@ -292,7 +187,7 @@ impl<C: Collector> Cluster<C> {
     /// Mutable access to the simulated network's fault plan (heal
     /// partitions, resume stalled sites, …) between steps.
     pub fn faults_mut(&mut self) -> &mut FaultPlan {
-        self.net.faults_mut()
+        self.exec.net.transport.faults_mut()
     }
 
     /// Builds a simulated cluster for `scenario`, runs it to completion and
@@ -372,63 +267,41 @@ where
             config.faults.crashes().is_empty() || config.durability.is_on(),
             "crash faults require durability (ClusterConfig::durability)"
         );
-        let mut runtimes = BTreeMap::new();
-        for i in 0..sites {
-            let site = SiteId::new(i);
-            let mut runtime = SiteRuntime::with_mode(site, factory(site), config.sync_mode)
-                .with_obs(SiteObs::new(Some(site), &config.obs));
-            if let Some(store) = SiteStore::open(site, &config.durability) {
-                runtime = runtime.with_store(store);
-            }
-            runtimes.insert(site, runtime);
+        let mut fleet = Fleet::new(&config);
+        for site in (0..sites).map(SiteId::new) {
+            fleet.open(site, factory(site));
         }
-        let obs = SiteObs::new(None, &config.obs);
-        let crashes_applied = vec![false; config.faults.crashes().len()];
-        let legality = if config.faults.crashes().is_empty() {
-            None
-        } else {
-            Some(Legality::default())
-        };
         Cluster {
-            config,
-            sites: runtimes,
-            downed: BTreeMap::new(),
-            crashes_applied,
-            factory: Box::new(factory),
-            recoveries: 0,
-            net: transport,
-            names: BTreeMap::new(),
-            legality,
-            membership: (0..sites).map(SiteId::new).collect(),
-            departed: BTreeSet::new(),
-            evicted: BTreeMap::new(),
-            membership_log: Vec::new(),
-            reclaimed: 0,
-            reclaimed_addrs: BTreeSet::new(),
-            safety_violations: 0,
-            verdicts: 0,
-            triggered_at: None,
-            last_verdict_at: None,
-            step: 0,
-            triggered_step: None,
-            last_verdict_step: None,
-            obs,
+            plan: Plan::new(sites, &config),
+            exec: Local {
+                config,
+                fleet,
+                factory: Box::new(factory),
+                net: Stamped {
+                    transport,
+                    triggered_at: None,
+                    last_verdict_at: None,
+                    triggered_step: None,
+                    last_verdict_step: None,
+                },
+                safety_violations: 0,
+            },
         }
     }
 
     /// The address allocated for a symbolic object name, if it exists yet.
     pub fn addr_of(&self, name: ObjName) -> Option<GlobalAddr> {
-        self.names.get(&name).copied()
+        self.plan.addr_of(name)
     }
 
     /// Read access to a site's heap.
     pub fn heap(&self, site: SiteId) -> &SiteHeap {
-        self.sites[&site].heap()
+        self.exec.fleet.heap(site)
     }
 
     /// Read access to a site's collector.
     pub fn collector(&self, site: SiteId) -> &C {
-        self.sites[&site].collector()
+        self.exec.fleet.collector(site)
     }
 
     /// Iterates over every site's heap — the inputs the [`Oracle`] judges
@@ -436,18 +309,14 @@ where
     /// durable store restores exactly it on recovery, so those objects
     /// still exist in the ground-truth object graph.
     pub fn heaps(&self) -> impl Iterator<Item = &SiteHeap> {
-        self.sites
-            .values()
-            .map(SiteRuntime::heap)
-            .chain(self.downed.values().map(|d| &d.heap))
-            .chain(self.evicted.values())
+        self.exec.fleet.heaps()
     }
 
     /// The addresses of every object reclaimed by local collections so far.
     /// Differential checks compare these sets across collectors (e.g.
     /// reference listing must never reclaim a cycle member).
     pub fn reclaimed_addrs(&self) -> &BTreeSet<GlobalAddr> {
-        &self.reclaimed_addrs
+        &self.exec.fleet.reclaimed_addrs
     }
 
     /// The current residual-garbage set: objects that exist but are
@@ -460,35 +329,7 @@ where
     /// crash window extends past the scenario's end are recovered before
     /// the final settle, so the report always covers the whole cluster.
     pub fn run(&mut self, scenario: &Scenario) -> RunReport {
-        if scenario.has_membership() && self.legality.is_none() {
-            // Departures skip ops exactly like crash windows do, and the
-            // skips can break causal send chains — the same legality
-            // tracking applies.
-            self.legality = Some(Legality::default());
-        }
-        for step in scenario.steps() {
-            // Advance the logical step clock *before* executing: the first
-            // scenario step is step 1. The parallel driver counts the same
-            // steps, so step-stamped timestamps compare across drivers.
-            self.step += 1;
-            self.obs.set_step(self.step);
-            match step {
-                Step::Op(op) => self.execute(*op),
-                Step::Settle => self.settle(),
-                Step::Membership(ev) => self.execute_membership(*ev),
-            }
-            self.mark_garbage_unreachable();
-        }
-        // The end-of-run completion (final settle + forced recoveries)
-        // counts as one more step.
-        self.step += 1;
-        self.obs.set_step(self.step);
-        self.settle();
-        self.mark_garbage_unreachable();
-        if !self.downed.is_empty() {
-            self.recover_all_downed();
-            self.settle();
-        }
+        self.plan.run(&mut self.exec, scenario);
         self.report()
     }
 
@@ -500,447 +341,78 @@ where
     /// pattern is a pure function of `(scenario, fault plan, seed)`, so
     /// replay determinism is preserved.
     pub fn execute(&mut self, op: MutatorOp) {
-        self.process_crash_lifecycle();
-        match op {
-            MutatorOp::Alloc {
-                site,
-                name,
-                local_root,
-            } => {
-                if !self.site_is_up(site) {
-                    return;
-                }
-                let addr = self.site_mut(site).alloc(local_root);
-                self.names.insert(name, addr);
-                if let Some(legality) = &mut self.legality {
-                    legality.note_alloc(name, site, local_root);
-                }
-                self.after_step(site);
-            }
-            MutatorOp::LinkLocal { site, from, to } => {
-                let (Some(&from_addr), Some(&to_addr)) =
-                    (self.names.get(&from), self.names.get(&to))
-                else {
-                    return;
-                };
-                if !self.site_is_up(site)
-                    || self.addr_is_gone(from_addr)
-                    || self.addr_is_gone(to_addr)
-                {
-                    return;
-                }
-                let tick = self.site_mut(site).link_local(from_addr, to_addr);
-                self.absorb_tick(site, tick);
-            }
-            MutatorOp::Unlink { site, from, to } => {
-                let (Some(&from_addr), Some(&to_addr)) =
-                    (self.names.get(&from), self.names.get(&to))
-                else {
-                    return;
-                };
-                if !self.site_is_up(site)
-                    || self.addr_is_gone(from_addr)
-                    || self.addr_is_gone(to_addr)
-                {
-                    return;
-                }
-                let tick = self.site_mut(site).unlink(from_addr, to_addr);
-                self.absorb_tick(site, tick);
-            }
-            MutatorOp::SendRef {
-                from_site,
-                recipient,
-                target,
-            } => {
-                let (Some(&recipient_addr), Some(&target_addr)) =
-                    (self.names.get(&recipient), self.names.get(&target))
-                else {
-                    return;
-                };
-                if !self.site_is_up(from_site)
-                    || self.addr_is_gone(recipient_addr)
-                    || self.addr_is_gone(target_addr)
-                {
-                    return;
-                }
-                if let Some(legality) = &mut self.legality {
-                    if !legality.approve_send(target, from_site, recipient, recipient_addr.site()) {
-                        return;
-                    }
-                }
-                let tick = self
-                    .site_mut(from_site)
-                    .export_reference(target_addr, recipient_addr);
-                self.absorb_tick(from_site, tick);
-                if recipient_addr.site() == from_site {
-                    // A same-site transfer is a local mutation, not a
-                    // network message (see `SiteRuntime::export_reference`):
-                    // the reference is stored immediately and must not be
-                    // droppable, duplicable or stallable by the fault plan.
-                    let tick = self.site_mut(from_site).receive_reference(
-                        from_site,
-                        recipient_addr,
-                        target_addr,
-                    );
-                    self.absorb_tick(from_site, tick);
-                } else {
-                    self.net.send(
-                        from_site,
-                        recipient_addr.site(),
-                        SimPayload::Reference {
-                            recipient: recipient_addr,
-                            target: target_addr,
-                        },
-                    );
-                }
-            }
-            MutatorOp::DropLocalRoot { site, name } => {
-                let Some(&addr) = self.names.get(&name) else {
-                    return;
-                };
-                if !self.site_is_up(site) || self.addr_is_gone(addr) {
-                    return;
-                }
-                let tick = self.site_mut(site).drop_local_root(addr);
-                self.absorb_tick(site, tick);
-            }
-            MutatorOp::ClearRefs { site, name } => {
-                let Some(&addr) = self.names.get(&name) else {
-                    return;
-                };
-                if !self.site_is_up(site) || self.addr_is_gone(addr) {
-                    return;
-                }
-                let tick = self.site_mut(site).clear_refs(addr);
-                self.absorb_tick(site, tick);
-            }
-            MutatorOp::CollectSite { site } => self.collect_site(site),
-            MutatorOp::CollectAll => self.collect_all(),
-        }
+        self.plan.execute(&mut self.exec, op);
     }
 
-    /// Executes one epoch-stamped membership event — the elastic-membership
-    /// protocol of the sequential driver.
-    ///
-    /// *Join*: a fresh [`SiteRuntime`] comes up (durably, when the cluster
-    /// runs with durability: it WAL-logs from its very first input), catches
-    /// up on the membership history, and the fleet is told.
-    ///
-    /// *Planned leave*: quiesce, so the departing site's DkLog drains; every
-    /// survivor performs the reference handoff (severing its references
-    /// towards the departing site, durably recorded); quiesce again; the
-    /// departing site dissolves; the announcement lets every survivor retire
-    /// the departed site's `DependencyVector`/`RootedVector` entries. After
-    /// this, no reference to the departed site survives anywhere — the
-    /// membership oracle ([`Cluster::sites_mentioning`]) pins that.
-    ///
-    /// *Evict*: unplanned and permanent — no quiesce, no handoff. The
-    /// evicted site's heap is kept for the oracle (its objects
-    /// conservatively still exist); collectors stay conservative, so
-    /// whatever it pinned becomes residual garbage, never a wrong verdict.
+    /// Executes one epoch-stamped membership event — join, planned leave
+    /// (quiesce, reference handoff on every survivor, quiesce, dissolve) or
+    /// eviction (no ceremony; the evicted heap is kept for the oracle, so
+    /// whatever it pinned becomes residual garbage, never a wrong verdict).
+    /// After a planned leave no reference to the departed site survives
+    /// anywhere — the membership oracle ([`Cluster::sites_mentioning`])
+    /// pins that.
     pub fn execute_membership(&mut self, ev: MembershipEvent) {
-        self.process_crash_lifecycle();
-        let site = ev.site;
-        match ev.kind {
-            MembershipKind::Join => {
-                if self.membership.contains(&site)
-                    || self.departed.contains(&site)
-                    || self.evicted.contains_key(&site)
-                {
-                    return;
-                }
-                let mut runtime =
-                    SiteRuntime::with_mode(site, (self.factory)(site), self.config.sync_mode)
-                        .with_obs(SiteObs::new(Some(site), &self.config.obs));
-                if let Some(store) = SiteStore::open(site, &self.config.durability) {
-                    runtime = runtime.with_store(store);
-                }
-                self.sites.insert(site, runtime);
-                self.membership.insert(site);
-                let history = self.membership_log.clone();
-                for ann in history {
-                    let tick = self.site_mut(site).apply_membership(ann);
-                    self.absorb_tick(site, tick);
-                }
-                self.announce(MembershipAnnouncement {
-                    epoch: ev.epoch,
-                    kind: MembershipChange::Join,
-                    site,
-                });
-                self.settle();
-            }
-            MembershipKind::PlannedLeave => {
-                if !self.membership.contains(&site) {
-                    return;
-                }
-                if !self.site_is_up(site) {
-                    // A crashed site can still leave in an orderly fashion:
-                    // recover its durable state first, then hand off.
-                    self.recover_site(site);
-                }
-                self.settle();
-                self.obs.event(
-                    "handoff",
-                    true,
-                    &[("epoch", ev.epoch), ("departing", u64::from(site.index()))],
-                );
-                let survivors: Vec<SiteId> =
-                    self.sites.keys().copied().filter(|&s| s != site).collect();
-                for s in survivors {
-                    let tick = self.site_mut(s).perform_handoff(site, ev.epoch);
-                    self.absorb_tick(s, tick);
-                }
-                // A survivor that crashed mid-protocol hands off at
-                // recovery, before anyone can observe its revived heap.
-                for downed in self.downed.values_mut() {
-                    downed.pending_catchup.push(Catchup::Handoff {
-                        departing: site,
-                        epoch: ev.epoch,
-                    });
-                }
-                self.settle();
-                self.sites.remove(&site);
-                self.membership.remove(&site);
-                self.departed.insert(site);
-                self.announce(MembershipAnnouncement {
-                    epoch: ev.epoch,
-                    kind: MembershipChange::PlannedLeave,
-                    site,
-                });
-                self.settle();
-            }
-            MembershipKind::Evict => {
-                if !self.membership.contains(&site) {
-                    return;
-                }
-                if let Some(runtime) = self.sites.remove(&site) {
-                    self.evicted.insert(site, runtime.heap().clone());
-                } else if let Some(downed) = self.downed.remove(&site) {
-                    self.evicted.insert(site, downed.heap);
-                }
-                self.membership.remove(&site);
-                self.announce(MembershipAnnouncement {
-                    epoch: ev.epoch,
-                    kind: MembershipChange::Evict,
-                    site,
-                });
-                self.settle();
-            }
-        }
-    }
-
-    /// Records `ann` in the history, applies it to every running site (the
-    /// announcement lands in each WAL), and queues it for sites currently
-    /// down — they apply it right after recovery.
-    fn announce(&mut self, ann: MembershipAnnouncement) {
-        self.obs.event(
-            "membership",
-            true,
-            &[
-                ("epoch", ann.epoch),
-                ("site", u64::from(ann.site.index())),
-                ("kind", membership_kind_code(ann.kind)),
-            ],
-        );
-        self.membership_log.push(ann);
-        let ups: Vec<SiteId> = self.sites.keys().copied().collect();
-        for s in ups {
-            let tick = self.site_mut(s).apply_membership(ann);
-            self.absorb_tick(s, tick);
-        }
-        for downed in self.downed.values_mut() {
-            downed.pending_catchup.push(Catchup::Announce(ann));
-        }
-    }
-
-    /// True when `addr` is hosted by a site that has permanently left the
-    /// fleet: mutator ops naming it are skipped, exactly like ops lost to a
-    /// crash window.
-    fn addr_is_gone(&self, addr: GlobalAddr) -> bool {
-        self.departed.contains(&addr.site()) || self.evicted.contains_key(&addr.site())
+        self.plan.membership(&mut self.exec, ev);
     }
 
     /// The sites whose collector state or heap still references `departed`.
     /// Empty after a planned leave — the membership oracle of the explorer
     /// corpus asserts exactly this, cluster-wide, for all three collectors.
     pub fn sites_mentioning(&self, departed: SiteId) -> Vec<SiteId> {
-        self.sites
-            .iter()
-            .filter(|(_, rt)| {
-                rt.collector().mentions_site(departed)
-                    || rt
-                        .heap()
-                        .remote_targets()
-                        .iter()
-                        .any(|addr| addr.site() == departed)
-            })
-            .map(|(&s, _)| s)
-            .collect()
+        self.exec.fleet.sites_mentioning(departed)
     }
 
     /// Sites gone through a planned leave so far.
     pub fn departed_sites(&self) -> &BTreeSet<SiteId> {
-        &self.departed
+        self.plan.departed()
     }
 
     /// Sites evicted so far.
     pub fn evicted_sites(&self) -> impl Iterator<Item = SiteId> + '_ {
-        self.evicted.keys().copied()
+        self.exec.fleet.evicted_sites()
     }
 
     /// Current expected membership (up or temporarily crashed).
     pub fn membership(&self) -> &BTreeSet<SiteId> {
-        &self.membership
+        self.plan.members()
     }
 
     /// Delivers every in-flight message, running local collections between
     /// rounds, until the whole system is quiescent (or the settle-round
     /// safety valve trips).
     pub fn settle(&mut self) {
-        let mut rounds: u64 = 0;
-        let mut delivered: u64 = 0;
-        for _ in 0..self.config.settle_rounds() {
-            rounds += 1;
-            let mut progressed = false;
-            self.process_crash_lifecycle();
-            while let Some(delivery) = self.net.poll() {
-                progressed = true;
-                delivered += 1;
-                // The transport clock advanced: crash windows may have
-                // opened or closed.
-                self.process_crash_lifecycle();
-                let to = delivery.to;
-                let from = delivery.from;
-                if !self.site_is_up(to) {
-                    // The transport filters deliveries to crashed sites by
-                    // its own clock; a message can still slip through in
-                    // the instant before the cluster observes the crash.
-                    // It dies with the site's inbox.
-                    continue;
-                }
-                let tick = match delivery.payload {
-                    SimPayload::Reference { recipient, target } => {
-                        self.site_mut(to).receive_reference(from, recipient, target)
-                    }
-                    SimPayload::Control(msg) => self.site_mut(to).on_control(from, msg),
-                };
-                self.absorb_tick(to, tick);
-            }
-            self.collect_all();
-            if !progressed && self.net.pending() == 0 {
-                break;
-            }
-        }
-        // Round/delivery counts are schedule-shaped (the parallel driver
-        // settles in drain waves), hence a non-deterministic event.
-        self.obs.event(
-            "settle",
-            false,
-            &[("rounds", rounds), ("delivered", delivered)],
-        );
-    }
-
-    /// Stamps the first step at which each currently-garbage object was
-    /// observed unreachable (first sighting wins in the ledger). Runs after
-    /// every scenario step, but only with observability *and* the safety
-    /// oracle on — a global reachability pass per step is exactly the cost
-    /// the oracle flag already opts into.
-    fn mark_garbage_unreachable(&mut self) {
-        if !(self.obs.is_enabled() && self.config.safety_oracle) {
-            return;
-        }
-        let step = self.step;
-        for addr in Oracle::garbage(self.heaps()) {
-            if let Some(runtime) = self.sites.get_mut(&addr.site()) {
-                let obs = runtime.obs_mut();
-                obs.set_step(step);
-                obs.mark_unreachable(addr);
-            }
-        }
+        self.exec.settle(&mut self.plan);
     }
 
     /// Runs a local collection on one site, checking every freed object
     /// against the oracle (unless [`ClusterConfig::safety_oracle`] is off).
     pub fn collect_site(&mut self, site: SiteId) {
-        if !self.site_is_up(site) {
-            return;
-        }
-        // A heap that cannot have garbage frees nothing, so there is no
-        // sweep for the O(cluster) safety pass to police.
-        let live = if self.config.safety_oracle && self.heap(site).may_have_garbage() {
-            Some(Oracle::reachable(self.heaps()))
-        } else {
-            None
-        };
-        if self.obs.is_enabled() && self.config.safety_oracle {
-            // The lifecycle ledger learns when objects *became* unreachable
-            // from the same oracle pass that polices safety. Opt-in cost:
-            // only with observability on top of the oracle.
-            let step = self.step;
-            let garbage = Oracle::garbage(self.heaps());
-            for addr in garbage {
-                if let Some(runtime) = self.sites.get_mut(&addr.site()) {
-                    let obs = runtime.obs_mut();
-                    obs.set_step(step);
-                    obs.mark_unreachable(addr);
-                }
-            }
-        }
-        let runtime = self.site_mut(site);
-        let outcome = runtime.collect();
-        let tick = if outcome.is_noop() {
-            None
-        } else {
-            Some(runtime.sync())
-        };
-        for freed in &outcome.freed {
-            let addr = GlobalAddr::from_parts(site, *freed);
-            if live.as_ref().is_some_and(|live| live.contains(&addr)) {
-                self.safety_violations += 1;
-            }
-            self.reclaimed_addrs.insert(addr);
-        }
-        self.reclaimed += outcome.freed.len() as u64;
-        if let Some(tick) = tick {
-            self.absorb_tick(site, tick);
-        }
+        self.exec.collect_site(site, self.plan.step());
     }
 
     /// Runs a local collection on every site.
     pub fn collect_all(&mut self) {
-        let sites: Vec<SiteId> = self.sites.keys().copied().collect();
-        for site in sites {
-            self.collect_site(site);
-        }
+        self.exec.collect_all(self.plan.step());
     }
 
     /// Builds the end-of-run report.
     pub fn report(&self) -> RunReport {
-        let residual = Oracle::garbage(self.heaps()).len() as u64;
-        let allocated = self
-            .sites
-            .values()
-            .map(|rt| rt.heap().stats().allocated)
-            .sum();
+        let fleet = &self.exec.fleet;
+        let net = &self.exec.net;
         RunReport {
-            collector: self
-                .sites
-                .values()
-                .next()
-                .map(|rt| rt.collector().name().to_owned())
+            collector: fleet
+                .sites()
+                .first()
+                .map(|&site| fleet.collector(site).name().to_owned())
                 .unwrap_or_default(),
-            sites: self.sites.len() as u32,
-            allocated,
-            reclaimed: self.reclaimed,
-            safety_violations: self.safety_violations,
-            residual_garbage: residual,
-            verdicts: self.verdicts,
-            finished_at: self.net.now(),
-            last_verdict_at: self.last_verdict_at,
-            triggered_at: self.triggered_at,
-            triggered_step: self.triggered_step,
-            last_verdict_step: self.last_verdict_step,
-            net: self.net.metrics_snapshot(),
+            safety_violations: self.exec.safety_violations,
+            finished_at: net.transport.now(),
+            last_verdict_at: net.last_verdict_at,
+            triggered_at: net.triggered_at,
+            triggered_step: net.triggered_step,
+            last_verdict_step: net.last_verdict_step,
+            net: net.transport.metrics_snapshot(),
+            ..fleet.report()
         }
     }
 
@@ -950,193 +422,29 @@ where
     /// the probes recorded). Empty/disabled when [`ClusterConfig::obs`] is
     /// off.
     pub fn obs_report(&self) -> ObsReport {
-        let mut cluster_obs = self.obs.clone();
-        if cluster_obs.is_enabled() {
-            let net = self.net.metrics_snapshot();
-            cluster_obs.set_gauge_aux("net_control_messages_sent", net.control_messages_sent());
-            cluster_obs.set_gauge_aux("net_mutator_messages_sent", net.mutator_messages_sent());
-            cluster_obs.set_gauge_aux("net_control_bytes_sent", net.control_bytes_sent());
-            cluster_obs.set_gauge_aux("net_mutator_bytes_sent", net.mutator_bytes_sent());
-            // One event per (class, payload-label) bucket: the per-collector
-            // message-class breakdown. Volumes are transport-shaped (the
-            // parallel driver only frames cross-worker traffic), hence aux.
-            for row in net.bucket_rows() {
-                cluster_obs.event_labeled(
-                    "msg-class",
-                    row.key.to_string(),
-                    false,
-                    &[
-                        ("sent", row.sent),
-                        ("delivered", row.delivered),
-                        ("dropped", row.dropped),
-                        ("bytes", row.bytes_sent),
-                    ],
-                );
-            }
-            let stats = self.store_stats();
-            cluster_obs.set_gauge_aux("store_records_appended", stats.records_appended);
-            cluster_obs.set_gauge_aux("store_wal_bytes_appended", stats.wal_bytes_appended);
-            cluster_obs.set_gauge_aux("store_checkpoints_installed", stats.checkpoints_installed);
-            cluster_obs.set_gauge_aux("store_records_replayed", stats.records_replayed);
-            cluster_obs.set_gauge_aux("recoveries", self.recoveries);
-        }
-        let site_obs: Vec<SiteObs> = self
-            .sites
-            .values()
-            .map(|runtime| {
-                let mut obs = runtime.obs().clone();
-                if obs.is_enabled() {
-                    for (name, value) in runtime.collector().obs_counters() {
-                        obs.set_gauge_aux(name, value);
-                    }
-                    let heap = runtime.heap().stats();
-                    obs.set_gauge_aux("heap_allocated", heap.allocated);
-                    obs.set_gauge_aux("heap_collected", heap.collected);
-                    obs.set_gauge_aux("heap_collections", heap.collections);
-                }
-                obs
-            })
-            .chain(self.downed.values().map(|d| d.obs.clone()))
-            .collect();
-        ObsReport::assemble(&cluster_obs, site_obs.iter())
+        let net = self.exec.net.transport.metrics_snapshot();
+        self.exec.fleet.obs_report(&self.plan.obs, &net)
     }
 
     /// The transport's current clock value.
     pub fn net_now(&self) -> u64 {
-        self.net.now()
+        self.exec.net.transport.now()
     }
-
-    // ------------------------------------------------------------------
-    // Crash lifecycle
-    // ------------------------------------------------------------------
 
     /// True when the site's runtime is currently up.
     pub fn site_is_up(&self, site: SiteId) -> bool {
-        self.sites.contains_key(&site)
+        self.exec.fleet.is_up(site)
     }
 
     /// Number of site recoveries performed so far.
     pub fn recoveries(&self) -> u64 {
-        self.recoveries
+        self.exec.fleet.recoveries
     }
 
     /// Aggregated durable-store counters across every site (up or down).
     /// All zeros with durability off.
     pub fn store_stats(&self) -> StoreStats {
-        let mut total = StoreStats::default();
-        let absorb = |total: &mut StoreStats, stats: &StoreStats| {
-            total.records_appended += stats.records_appended;
-            total.wal_bytes_appended += stats.wal_bytes_appended;
-            total.checkpoints_installed += stats.checkpoints_installed;
-            total.records_replayed += stats.records_replayed;
-        };
-        for runtime in self.sites.values() {
-            if let Some(store) = runtime.store() {
-                absorb(&mut total, store.stats());
-            }
-        }
-        for downed in self.downed.values() {
-            absorb(&mut total, downed.store.stats());
-        }
-        total
-    }
-
-    /// Applies the fault plan's crash schedule against the transport clock:
-    /// opens every due crash window (tearing the volatile runtime down) and
-    /// restarts every site whose window has closed (recovering it from its
-    /// durable store).
-    fn process_crash_lifecycle(&mut self) {
-        if self.crashes_applied.is_empty() && self.downed.is_empty() {
-            return;
-        }
-        let now = self.net.now();
-        for index in 0..self.crashes_applied.len() {
-            // `SiteCrash` is `Copy`: take the one element by value instead
-            // of cloning the schedule (this runs per delivery in settle).
-            let crash = self.config.faults.crashes()[index];
-            if self.crashes_applied[index] || now < crash.at_round {
-                continue;
-            }
-            self.crashes_applied[index] = true;
-            self.crash_site(crash.site, crash.restart_after);
-        }
-        let due: Vec<SiteId> = self
-            .downed
-            .iter()
-            .filter(|(_, d)| d.restart_after <= now)
-            .map(|(&site, _)| site)
-            .collect();
-        for site in due {
-            self.recover_site(site);
-        }
-    }
-
-    /// Tears a site's volatile state down, keeping its durable store for
-    /// the restart at `restart_after`. A site already down merely has its
-    /// restart time extended (overlapping windows).
-    fn crash_site(&mut self, site: SiteId, restart_after: u64) {
-        if let Some(mut runtime) = self.sites.remove(&site) {
-            let store = runtime
-                .take_store()
-                .expect("crash faults require durability (checked at construction)");
-            let heap = runtime.heap().clone();
-            let obs = runtime.take_obs();
-            self.downed.insert(
-                site,
-                DownedSite {
-                    store,
-                    restart_after,
-                    heap,
-                    pending_catchup: Vec::new(),
-                    obs,
-                },
-            );
-        } else if let Some(downed) = self.downed.get_mut(&site) {
-            downed.restart_after = downed.restart_after.max(restart_after);
-        }
-    }
-
-    /// Recovers one downed site from its durable store.
-    fn recover_site(&mut self, site: SiteId) {
-        let Some(downed) = self.downed.remove(&site) else {
-            return;
-        };
-        let mut runtime =
-            SiteRuntime::recover(downed.store, (self.factory)(site), self.config.sync_mode);
-        let replayed = runtime
-            .store()
-            .map_or(0, |store| store.stats().records_replayed);
-        // Recovery replays with a disabled handle (no double-counting);
-        // re-attach the crash-time measurements now.
-        runtime.set_obs(downed.obs);
-        {
-            let obs = runtime.obs_mut();
-            obs.set_step(self.step);
-            obs.add_aux("recoveries", 1);
-            obs.event("wal-replay", false, &[("records_replayed", replayed)]);
-        }
-        self.sites.insert(site, runtime);
-        self.recoveries += 1;
-        // Membership changed while this site was down: catch up in order
-        // (WAL-logged, so a second crash replays the same steps).
-        for action in downed.pending_catchup {
-            let tick = match action {
-                Catchup::Handoff { departing, epoch } => {
-                    self.site_mut(site).perform_handoff(departing, epoch)
-                }
-                Catchup::Announce(ann) => self.site_mut(site).apply_membership(ann),
-            };
-            self.absorb_tick(site, tick);
-        }
-    }
-
-    /// Recovers every downed site immediately, regardless of its scheduled
-    /// restart time (end-of-run completion).
-    fn recover_all_downed(&mut self) {
-        let sites: Vec<SiteId> = self.downed.keys().copied().collect();
-        for site in sites {
-            self.recover_site(site);
-        }
+        self.exec.fleet.store_stats()
     }
 
     /// Crashes `site` and recovers it from its durable store on the spot —
@@ -1150,51 +458,143 @@ where
     /// site is unknown.
     pub fn crash_and_recover(&mut self, site: SiteId) {
         assert!(
-            self.config.durability.is_on(),
+            self.exec.config.durability.is_on(),
             "crash_and_recover requires durability"
         );
-        assert!(
-            self.site_is_up(site) || self.downed.contains_key(&site),
-            "unknown site {site}"
-        );
-        self.crash_site(site, 0);
-        self.recover_site(site);
+        assert!(self.plan.members().contains(&site), "unknown site {site}");
+        self.plan.crash_and_recover(&mut self.exec, site);
     }
+}
 
-    fn site_mut(&mut self, site: SiteId) -> &mut SiteRuntime<C> {
-        let step = self.step;
-        let runtime = self.sites.get_mut(&site).expect("site exists");
-        // Keep the runtime's logical clock current so every probe inside
-        // the entry point stamps the right step — no signature changes.
-        runtime.obs_mut().set_step(step);
-        runtime
-    }
-
-    /// Books a runtime step's results: verdict counters and control-message
-    /// sends (which also timestamp the first GGD trigger).
-    fn absorb_tick(&mut self, site: SiteId, tick: SiteTick<C::Msg>) {
-        if tick.verdicts_applied > 0 {
-            self.verdicts += tick.verdicts_applied;
-            self.last_verdict_at = Some(self.net.now());
-            self.last_verdict_step = Some(self.step);
+impl<C, T> Local<C, T>
+where
+    C: Collector,
+    T: Transport<SimPayload<C::Msg>>,
+{
+    /// Stamps the first step at which each currently-garbage object was
+    /// observed unreachable (first sighting wins in the ledger). Only with
+    /// observability *and* the safety oracle on: a global reachability
+    /// pass per step is exactly the cost the oracle flag already opts into.
+    fn mark_garbage_unreachable(&mut self, step: u64) {
+        if self.config.obs.enabled && self.config.safety_oracle {
+            self.fleet.mark_unreachable(step);
         }
-        for (dest, msg) in tick.outgoing {
-            if self.triggered_at.is_none() {
-                self.triggered_at = Some(self.net.now());
-                self.triggered_step = Some(self.step);
+    }
+
+    /// Runs a local collection on one up site, checking every freed object
+    /// against the oracle (unless [`ClusterConfig::safety_oracle`] is off).
+    fn collect_site(&mut self, site: SiteId, step: u64) {
+        if !self.fleet.is_up(site) {
+            return;
+        }
+        // A heap that cannot have garbage frees nothing, so there is no
+        // sweep for the O(cluster) safety pass to police.
+        let live = (self.config.safety_oracle && self.fleet.heap(site).may_have_garbage())
+            .then(|| Oracle::reachable(self.fleet.heaps()));
+        self.mark_garbage_unreachable(step);
+        let freed = self.fleet.collect(site, step, &mut self.net);
+        if let Some(live) = live {
+            let unsafe_frees = freed
+                .iter()
+                .filter(|&&id| live.contains(&GlobalAddr::from_parts(site, id)));
+            self.safety_violations += unsafe_frees.count() as u64;
+        }
+    }
+}
+
+impl<C, T> Executor for Local<C, T>
+where
+    C: Collector,
+    T: Transport<SimPayload<C::Msg>>,
+{
+    fn now(&self) -> u64 {
+        self.net.transport.now()
+    }
+
+    fn apply(&mut self, site: SiteId, op: SiteOp, step: u64) {
+        if op == SiteOp::Collect {
+            self.collect_site(site, step);
+        } else {
+            self.fleet.apply(site, op, step, &mut self.net);
+        }
+    }
+
+    fn collect_all(&mut self, step: u64) {
+        for site in self.fleet.sites() {
+            self.collect_site(site, step);
+        }
+    }
+
+    fn settle(&mut self, plan: &mut Plan) {
+        let mut rounds: u64 = 0;
+        let mut delivered: u64 = 0;
+        for _ in 0..self.config.settle_rounds() {
+            rounds += 1;
+            let mut progressed = false;
+            plan.lifecycle(self);
+            while let Some(delivery) = self.net.transport.poll() {
+                progressed = true;
+                delivered += 1;
+                // The transport clock advanced: crash windows may have
+                // opened or closed. The transport filters deliveries to
+                // crashed sites by its own clock; a message can still slip
+                // through in the instant before the plan observes the
+                // crash, and then dies with the site's inbox.
+                plan.lifecycle(self);
+                self.fleet.deliver(
+                    delivery.from,
+                    delivery.to,
+                    delivery.payload,
+                    plan.step(),
+                    &mut self.net,
+                );
             }
-            self.net.send(site, dest, SimPayload::Control(msg));
+            self.collect_all(plan.step());
+            if !progressed && self.net.transport.pending() == 0 {
+                break;
+            }
         }
-        self.after_step(site);
+        // Round/delivery counts are schedule-shaped (the parallel driver
+        // settles in drain waves), hence a non-deterministic event.
+        plan.obs.event(
+            "settle",
+            false,
+            &[("rounds", rounds), ("delivered", delivered)],
+        );
     }
 
-    /// Post-step bookkeeping: with durability on, the site installs a
-    /// checkpoint once its WAL cadence asks for one. Runs with the tick
-    /// absorbed, i.e. outgoing messages and verdicts drained.
-    fn after_step(&mut self, site: SiteId) {
-        if let Some(runtime) = self.sites.get_mut(&site) {
-            runtime.maybe_checkpoint();
-        }
+    fn crash(&mut self, site: SiteId) {
+        self.fleet.crash(site);
+    }
+
+    fn recover(&mut self, site: SiteId, step: u64) {
+        self.fleet.recover(site, &self.factory, step, &mut self.net);
+    }
+
+    fn join(&mut self, site: SiteId, history: &[MembershipAnnouncement], step: u64) {
+        let collector = (self.factory)(site);
+        self.fleet
+            .join(site, collector, history, step, &mut self.net);
+    }
+
+    fn handoff(&mut self, departing: SiteId, epoch: u64, step: u64) {
+        self.fleet.handoff(departing, epoch, step, &mut self.net);
+    }
+
+    fn dissolve(&mut self, site: SiteId) {
+        self.fleet.dissolve(site);
+    }
+
+    fn evict(&mut self, site: SiteId) {
+        self.fleet.evict(site);
+    }
+
+    fn announce(&mut self, ann: MembershipAnnouncement, step: u64) {
+        self.fleet.announce(ann, step, &mut self.net);
+    }
+
+    fn end_step(&mut self, step: u64) {
+        self.mark_garbage_unreachable(step);
     }
 }
 
@@ -1202,7 +602,7 @@ where
 mod tests {
     use super::*;
     use crate::collector::CausalCollector;
-    use ggd_mutator::workloads;
+    use ggd_mutator::{workloads, Step};
 
     fn run_causal(scenario: &Scenario) -> RunReport {
         let mut cluster =

@@ -30,8 +30,10 @@
 
 mod cluster;
 mod collector;
+mod fleet;
 mod oracle;
 mod parallel;
+mod plan;
 mod report;
 mod runtime;
 

@@ -3,25 +3,24 @@
 //! frames.
 //!
 //! The sequential [`Cluster`](crate::Cluster) steps every site from one
-//! coordinator thread. [`ParallelCluster`] splits that loop in two:
+//! thread. [`ParallelCluster`] splits that loop in two:
 //!
-//! * **Workers** own the [`SiteRuntime`]s. Each of the
-//!   [`ClusterConfig::workers`] threads hosts a shard of the sites (round
-//!   robin by site id; with as many workers as sites this degenerates to
-//!   one site per worker) and consumes a mailbox of commands: resolved
-//!   mutator ops, inter-site wire frames, collection requests and
-//!   crash/recover orders. Inter-site traffic is exchanged worker-to-worker
-//!   as length-prefixed encoded [`Frame`]s — the same `ggd-store`-backed
-//!   codec the framed [`ThreadedNetwork`](ggd_net::ThreadedNetwork) uses —
-//!   so byte metrics measure real serialized cost and no payload value ever
-//!   crosses a thread boundary.
-//! * **The coordinator** (the calling thread) only injects scenario steps
-//!   and aggregates. It resolves symbolic object names to [`GlobalAddr`]s
-//!   up front (allocation addresses are a pure function of per-site
-//!   allocation order, so the coordinator predicts them without a
-//!   round-trip — workers assert the prediction), applies the same
-//!   crash-window skip analysis as the sequential driver, and detects
-//!   quiescence.
+//! * **Workers** own the sites. Each of the [`ClusterConfig::workers`]
+//!   threads hosts a shard of the [`Fleet`] (round robin by site id; with as
+//!   many workers as sites this degenerates to one site per worker) and
+//!   consumes a mailbox of commands: resolved mutator ops, inter-site wire
+//!   frames, collection requests and crash/recover/membership orders.
+//!   Inter-site traffic is exchanged worker-to-worker as length-prefixed
+//!   encoded [`Frame`]s — the same `ggd-store`-backed codec the framed
+//!   [`ThreadedNetwork`](ggd_net::ThreadedNetwork) uses — so byte metrics
+//!   measure real serialized cost and no payload value ever crosses a
+//!   thread boundary.
+//! * **The coordinator** (the calling thread) runs the same [`Plan`] as the
+//!   sequential driver — name resolution with predicted allocation
+//!   addresses (workers assert the prediction), skip analysis, the crash
+//!   schedule and membership sequencing — and executes its decisions as
+//!   mailbox commands. Crash windows are sampled against the shared
+//!   delivery clock at op dispatch and settle-round boundaries.
 //!
 //! Quiescence replaces the sequential settle loop's "poll until the
 //! transport is empty" with a **termination barrier**: a global in-flight
@@ -42,7 +41,7 @@
 //! bit-reproducible. The deterministic sequential path is untouched; this
 //! driver is opt-in via [`ClusterConfig::workers`].
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -50,19 +49,18 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 
 use ggd_heap::SiteHeap;
-use ggd_mutator::{MembershipEvent, MembershipKind, MutatorOp, ObjName, Scenario, Step};
+use ggd_mutator::Scenario;
 use ggd_net::{Frame, NetMetrics};
-use ggd_obs::{ObsConfig, ObsReport, SiteObs};
-use ggd_store::{
-    DurabilityConfig, MembershipAnnouncement, MembershipChange, SiteStore, StoreStats,
-};
-use ggd_types::{GlobalAddr, ObjectId, SiteId};
+use ggd_obs::{ObsReport, SiteObs};
+use ggd_store::{MembershipAnnouncement, StoreStats};
+use ggd_types::{GlobalAddr, SiteId};
 
-use crate::cluster::{membership_kind_code, Catchup, ClusterConfig, Legality};
+use crate::cluster::ClusterConfig;
 use crate::collector::{Collector, SimPayload};
+use crate::fleet::{Fleet, Link};
 use crate::oracle::Oracle;
+use crate::plan::{Executor, Plan, SiteOp};
 use crate::report::RunReport;
-use crate::runtime::{SiteRuntime, SiteTick, SyncMode};
 
 /// How long a worker spins on the termination barrier, or the coordinator
 /// on a phase acknowledgement, before declaring the run wedged. Only a bug
@@ -125,64 +123,29 @@ enum Command {
     /// in-flight count reaches zero, then acknowledge.
     Drain(u64),
     /// Run a local collection on every hosted site.
-    Collect { ack: bool, step: u64 },
-    /// Tear the site's volatile runtime down, keeping its durable store.
+    Collect {
+        ack: bool,
+        step: u64,
+    },
+    // The `Executor` primitives, for one hosted site or all of them.
     Crash(SiteId),
-    /// Rebuild the site from its durable store.
     Recover(SiteId, u64),
-    /// Bring a fresh site up mid-run, caught up on membership history.
     Join {
         site: SiteId,
         history: Vec<MembershipAnnouncement>,
         step: u64,
     },
-    /// Every hosted survivor severs its references towards `departing`
-    /// (the reference-handoff half of a planned leave).
     Handoff {
         departing: SiteId,
         epoch: u64,
         step: u64,
     },
-    /// Dissolve a site that completed its planned leave.
-    Remove(SiteId),
-    /// Evict a site without ceremony, keeping its heap for the oracle.
+    Dissolve(SiteId),
     Evict(SiteId),
-    /// Apply one membership announcement to every hosted runtime (queued
-    /// for hosted sites currently down, applied at recovery).
-    Membership(MembershipAnnouncement, u64),
-    /// Hand every runtime and counter back to the coordinator and exit.
+    Announce(MembershipAnnouncement, u64),
+    /// Hand the shard and its wire metrics back to the coordinator and
+    /// exit.
     Shutdown,
-}
-
-/// A mutator op with every name already resolved by the coordinator.
-enum SiteOp {
-    Alloc {
-        local_root: bool,
-        /// The address the coordinator predicted; the worker's heap must
-        /// agree or name resolution has diverged.
-        expect: GlobalAddr,
-    },
-    LinkLocal {
-        from: GlobalAddr,
-        to: GlobalAddr,
-    },
-    Unlink {
-        from: GlobalAddr,
-        to: GlobalAddr,
-    },
-    ClearRefs {
-        addr: GlobalAddr,
-    },
-    DropLocalRoot {
-        addr: GlobalAddr,
-    },
-    /// Export + wire send (or the immediate local receive for a same-site
-    /// recipient).
-    SendRef {
-        target: GlobalAddr,
-        recipient: GlobalAddr,
-    },
-    Collect,
 }
 
 /// A worker's acknowledgement or final state.
@@ -190,7 +153,7 @@ enum Reply<C: Collector> {
     AtBarrier,
     DrainDone { processed: u64 },
     CollectDone,
-    Finished(Box<WorkerFinal<C>>),
+    Finished(Box<(Fleet<C>, NetMetrics)>),
 }
 
 impl<C: Collector> Reply<C> {
@@ -204,57 +167,74 @@ impl<C: Collector> Reply<C> {
     }
 }
 
-/// Everything a worker hands back at shutdown.
-struct WorkerFinal<C: Collector> {
-    runtimes: BTreeMap<SiteId, SiteRuntime<C>>,
-    metrics: NetMetrics,
-    reclaimed: u64,
-    reclaimed_addrs: BTreeSet<GlobalAddr>,
-    verdicts: u64,
-    recoveries: u64,
-    /// Heaps of evicted hosted sites (oracle ground truth).
-    evicted: BTreeMap<SiteId, SiteHeap>,
-}
-
-/// One worker thread: a shard of site runtimes plus its mailbox plumbing.
-struct Worker<C: Collector, F> {
-    index: usize,
-    runtimes: BTreeMap<SiteId, SiteRuntime<C>>,
-    /// Durable stores of hosted sites that are currently down.
-    downed: BTreeMap<SiteId, SiteStore<C::Msg>>,
-    /// Observability handles of hosted downed sites — detached at crash
-    /// (the measurement layer sits outside the failure model) and
-    /// re-attached after recovery, so WAL replay never double-counts.
-    downed_obs: BTreeMap<SiteId, SiteObs>,
-    /// Membership steps hosted downed sites missed, applied at recovery.
-    pending_catchup: BTreeMap<SiteId, Vec<Catchup>>,
-    /// Heaps of evicted hosted sites.
-    evicted: BTreeMap<SiteId, SiteHeap>,
-    /// Durability config, for sites joining mid-run.
-    durability: DurabilityConfig,
-    /// Frames received outside a drain phase, still holding their credit.
-    pending: VecDeque<(SiteId, SiteId, Frame)>,
+/// A worker's outbound side: every worker's mailbox plus the shared
+/// counters its sends and stamps feed.
+struct Mail {
     /// Every worker's mailbox, for inter-site sends (index = worker).
     mailboxes: Vec<Sender<Command>>,
-    replies: Sender<Reply<C>>,
     shared: Arc<SharedState>,
     metrics: NetMetrics,
-    reclaimed: u64,
-    reclaimed_addrs: BTreeSet<GlobalAddr>,
-    verdicts: u64,
-    recoveries: u64,
-    factory: F,
-    sync_mode: SyncMode,
-    workers: usize,
-    /// Observability config, for sites joining mid-run.
-    obs_config: ObsConfig,
-    /// The scenario step carried by the command currently being handled —
-    /// pushed into each runtime's obs handle so probes stamp logical time.
-    current_step: u64,
 }
 
 fn worker_of(site: SiteId, workers: usize) -> usize {
     site.index() as usize % workers
+}
+
+impl<M> Link<M> for Mail
+where
+    SimPayload<M>: ggd_net::WireCodec,
+{
+    /// Encodes `payload` into a wire frame and mails it to the worker
+    /// hosting `to`. The in-flight credit is raised *before* the send so
+    /// the termination barrier can never observe a frame-shaped gap.
+    fn send(&mut self, from: SiteId, to: SiteId, payload: SimPayload<M>) {
+        let frame = Frame::encode(&payload);
+        // The shared frame-layer hook keeps byte accounting identical with
+        // the threaded transport's encode path.
+        let len = self.metrics.record_frame_sent(&frame) as u64;
+        let queued = self.shared.queued_bytes.fetch_add(len, Ordering::SeqCst) + len;
+        self.shared
+            .peak_queued_bytes
+            .fetch_max(queued, Ordering::SeqCst);
+        let credited = self.shared.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+        self.shared.credit_hwm.fetch_max(credited, Ordering::SeqCst);
+        self.shared.frames_sent.fetch_add(1, Ordering::SeqCst);
+        let dest = worker_of(to, self.mailboxes.len());
+        if self.mailboxes[dest]
+            .send(Command::Frame { from, to, frame })
+            .is_err()
+        {
+            // Teardown race (coordinator gone): release the credit so any
+            // worker still draining can terminate.
+            self.shared.queued_bytes.fetch_sub(len, Ordering::SeqCst);
+            self.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    fn stamp_verdict(&mut self, step: u64) {
+        let now = self.shared.deliveries.load(Ordering::SeqCst);
+        self.shared.last_verdict_at.fetch_max(now, Ordering::SeqCst);
+        self.shared
+            .last_verdict_step
+            .fetch_max(step, Ordering::SeqCst);
+    }
+
+    fn stamp_trigger(&mut self, step: u64) {
+        let now = self.shared.deliveries.load(Ordering::SeqCst);
+        self.shared.triggered_at.fetch_min(now, Ordering::SeqCst);
+        self.shared.triggered_step.fetch_min(step, Ordering::SeqCst);
+    }
+}
+
+/// One worker thread: a shard of the fleet plus its mailbox plumbing.
+struct Worker<C: Collector, F> {
+    index: usize,
+    fleet: Fleet<C>,
+    factory: F,
+    /// Frames received outside a drain phase, still holding their credit.
+    pending: VecDeque<(SiteId, SiteId, Frame)>,
+    mail: Mail,
+    replies: Sender<Reply<C>>,
 }
 
 impl<C, F> Worker<C, F>
@@ -266,157 +246,50 @@ where
     fn run(mut self, rx: Receiver<Command>) {
         while let Ok(cmd) = rx.recv() {
             match cmd {
-                Command::Op(site, op, step) => {
-                    self.current_step = step;
-                    self.apply_op(site, op);
-                }
+                Command::Op(site, op, step) => self.fleet.apply(site, op, step, &mut self.mail),
                 Command::Frame { from, to, frame } => self.pending.push_back((from, to, frame)),
                 Command::Barrier => {
                     let _ = self.replies.send(Reply::AtBarrier);
                 }
                 Command::Drain(step) => {
-                    self.current_step = step;
-                    let processed = self.drain(&rx);
+                    let processed = self.drain(&rx, step);
                     let _ = self.replies.send(Reply::DrainDone { processed });
                 }
                 Command::Collect { ack, step } => {
-                    self.current_step = step;
-                    let sites: Vec<SiteId> = self.runtimes.keys().copied().collect();
-                    for site in sites {
-                        self.collect_site(site);
+                    for site in self.fleet.sites() {
+                        self.fleet.collect(site, step, &mut self.mail);
                     }
                     if ack {
                         let _ = self.replies.send(Reply::CollectDone);
                     }
                 }
-                Command::Crash(site) => {
-                    if let Some(mut runtime) = self.runtimes.remove(&site) {
-                        let store = runtime
-                            .take_store()
-                            .expect("crash orders require durability (checked at construction)");
-                        self.downed.insert(site, store);
-                        self.downed_obs.insert(site, runtime.take_obs());
-                    }
-                }
+                Command::Crash(site) => self.fleet.crash(site),
                 Command::Recover(site, step) => {
-                    self.current_step = step;
-                    if let Some(store) = self.downed.remove(&site) {
-                        let mut runtime =
-                            SiteRuntime::recover(store, (self.factory)(site), self.sync_mode);
-                        let replayed = runtime
-                            .store()
-                            .map_or(0, |store| store.stats().records_replayed);
-                        // Replay ran with a disabled handle; re-attach the
-                        // crash-time measurements now.
-                        if let Some(obs) = self.downed_obs.remove(&site) {
-                            runtime.set_obs(obs);
-                        }
-                        {
-                            let obs = runtime.obs_mut();
-                            obs.set_step(step);
-                            obs.add_aux("recoveries", 1);
-                            obs.event("wal-replay", false, &[("records_replayed", replayed)]);
-                        }
-                        self.runtimes.insert(site, runtime);
-                        self.recoveries += 1;
-                        // Catch up on membership steps missed while down, in
-                        // order (WAL-logged, so a second crash replays them).
-                        for action in self.pending_catchup.remove(&site).unwrap_or_default() {
-                            let tick = match action {
-                                Catchup::Handoff { departing, epoch } => {
-                                    self.runtime(site).perform_handoff(departing, epoch)
-                                }
-                                Catchup::Announce(ann) => self.runtime(site).apply_membership(ann),
-                            };
-                            self.absorb(site, tick);
-                        }
-                    }
+                    self.fleet
+                        .recover(site, &self.factory, step, &mut self.mail);
                 }
                 Command::Join {
                     site,
                     history,
                     step,
                 } => {
-                    self.current_step = step;
-                    let mut runtime =
-                        SiteRuntime::with_mode(site, (self.factory)(site), self.sync_mode)
-                            .with_obs(SiteObs::new(Some(site), &self.obs_config));
-                    if let Some(store) = SiteStore::open(site, &self.durability) {
-                        runtime = runtime.with_store(store);
-                    }
-                    self.runtimes.insert(site, runtime);
-                    for ann in history {
-                        let tick = self.runtime(site).apply_membership(ann);
-                        self.absorb(site, tick);
-                    }
+                    let collector = (self.factory)(site);
+                    self.fleet
+                        .join(site, collector, &history, step, &mut self.mail);
                 }
                 Command::Handoff {
                     departing,
                     epoch,
                     step,
-                } => {
-                    self.current_step = step;
-                    let sites: Vec<SiteId> = self
-                        .runtimes
-                        .keys()
-                        .copied()
-                        .filter(|&s| s != departing)
-                        .collect();
-                    for site in sites {
-                        let tick = self.runtime(site).perform_handoff(departing, epoch);
-                        self.absorb(site, tick);
-                    }
-                    let downed: Vec<SiteId> = self
-                        .downed
-                        .keys()
-                        .copied()
-                        .filter(|&s| s != departing)
-                        .collect();
-                    for site in downed {
-                        self.pending_catchup
-                            .entry(site)
-                            .or_default()
-                            .push(Catchup::Handoff { departing, epoch });
-                    }
-                }
-                Command::Remove(site) => {
-                    self.runtimes.remove(&site);
-                    self.downed.remove(&site);
-                    self.downed_obs.remove(&site);
-                    self.pending_catchup.remove(&site);
-                }
-                Command::Evict(site) => {
-                    if let Some(runtime) = self.runtimes.remove(&site) {
-                        self.evicted.insert(site, runtime.heap().clone());
-                    }
-                    self.downed.remove(&site);
-                    self.downed_obs.remove(&site);
-                    self.pending_catchup.remove(&site);
-                }
-                Command::Membership(ann, step) => {
-                    self.current_step = step;
-                    let sites: Vec<SiteId> = self.runtimes.keys().copied().collect();
-                    for site in sites {
-                        let tick = self.runtime(site).apply_membership(ann);
-                        self.absorb(site, tick);
-                    }
-                    for &site in self.downed.keys() {
-                        self.pending_catchup
-                            .entry(site)
-                            .or_default()
-                            .push(Catchup::Announce(ann));
-                    }
-                }
+                } => self.fleet.handoff(departing, epoch, step, &mut self.mail),
+                Command::Dissolve(site) => self.fleet.dissolve(site),
+                Command::Evict(site) => self.fleet.evict(site),
+                Command::Announce(ann, step) => self.fleet.announce(ann, step, &mut self.mail),
                 Command::Shutdown => {
-                    let _ = self.replies.send(Reply::Finished(Box::new(WorkerFinal {
-                        runtimes: std::mem::take(&mut self.runtimes),
-                        metrics: std::mem::take(&mut self.metrics),
-                        reclaimed: self.reclaimed,
-                        reclaimed_addrs: std::mem::take(&mut self.reclaimed_addrs),
-                        verdicts: self.verdicts,
-                        recoveries: self.recoveries,
-                        evicted: std::mem::take(&mut self.evicted),
-                    })));
+                    let metrics = std::mem::take(&mut self.mail.metrics);
+                    let _ = self
+                        .replies
+                        .send(Reply::Finished(Box::new((self.fleet, metrics))));
                     return;
                 }
             }
@@ -427,34 +300,35 @@ where
     /// global in-flight credit reaches zero. Zero is stable inside a drain
     /// phase: every worker is draining, and only frame processing (which
     /// holds a credit) can enqueue new frames.
-    fn drain(&mut self, rx: &Receiver<Command>) -> u64 {
+    fn drain(&mut self, rx: &Receiver<Command>, step: u64) -> u64 {
         let mut processed = 0;
         let deadline = Instant::now() + PHASE_DEADLINE;
         loop {
             while let Some((from, to, frame)) = self.pending.pop_front() {
-                self.process_frame(from, to, frame);
+                self.process_frame(from, to, frame, step);
                 processed += 1;
             }
             match rx.try_recv() {
                 Ok(Command::Frame { from, to, frame }) => {
-                    self.process_frame(from, to, frame);
+                    self.process_frame(from, to, frame, step);
                     processed += 1;
                 }
                 Ok(_) => unreachable!("only frames are in flight during a drain phase"),
                 Err(TryRecvError::Disconnected) => break,
                 Err(TryRecvError::Empty) => {
-                    if self.shared.in_flight.load(Ordering::SeqCst) == 0 {
+                    let shared = &self.mail.shared;
+                    if shared.in_flight.load(Ordering::SeqCst) == 0 {
                         break;
                     }
                     assert!(
                         Instant::now() < deadline,
                         "worker {} drain stalled with {} frames credited — termination barrier bug",
                         self.index,
-                        self.shared.in_flight.load(Ordering::SeqCst)
+                        shared.in_flight.load(Ordering::SeqCst)
                     );
                     match rx.recv_timeout(Duration::from_millis(1)) {
                         Ok(Command::Frame { from, to, frame }) => {
-                            self.process_frame(from, to, frame);
+                            self.process_frame(from, to, frame, step);
                             processed += 1;
                         }
                         Ok(_) => unreachable!("only frames are in flight during a drain phase"),
@@ -466,230 +340,42 @@ where
         processed
     }
 
-    fn apply_op(&mut self, site: SiteId, op: SiteOp) {
-        let step = self.current_step;
-        let Some(runtime) = self.runtimes.get_mut(&site) else {
-            // The coordinator skips ops to downed sites; a straggler here
-            // would mean the skip analysis and the crash orders disagree.
-            unreachable!(
-                "op dispatched to a site that is not up on worker {}",
-                self.index
-            );
-        };
-        runtime.obs_mut().set_step(step);
-        match op {
-            SiteOp::Alloc { local_root, expect } => {
-                let addr = runtime.alloc(local_root);
-                assert_eq!(
-                    addr, expect,
-                    "coordinator-predicted allocation address diverged"
-                );
-                runtime.maybe_checkpoint();
-            }
-            SiteOp::LinkLocal { from, to } => {
-                let tick = runtime.link_local(from, to);
-                self.absorb(site, tick);
-            }
-            SiteOp::Unlink { from, to } => {
-                let tick = runtime.unlink(from, to);
-                self.absorb(site, tick);
-            }
-            SiteOp::ClearRefs { addr } => {
-                let tick = runtime.clear_refs(addr);
-                self.absorb(site, tick);
-            }
-            SiteOp::DropLocalRoot { addr } => {
-                let tick = runtime.drop_local_root(addr);
-                self.absorb(site, tick);
-            }
-            SiteOp::SendRef { target, recipient } => {
-                let tick = runtime.export_reference(target, recipient);
-                self.absorb(site, tick);
-                if recipient.site() == site {
-                    // A same-site transfer is a local mutation, never a
-                    // wire frame (see `SiteRuntime::export_reference`).
-                    let tick = self
-                        .runtime(site)
-                        .receive_reference(site, recipient, target);
-                    self.absorb(site, tick);
-                } else {
-                    self.send_payload(
-                        site,
-                        recipient.site(),
-                        &SimPayload::Reference { recipient, target },
-                    );
-                }
-            }
-            SiteOp::Collect => self.collect_site(site),
-        }
-    }
-
-    fn runtime(&mut self, site: SiteId) -> &mut SiteRuntime<C> {
-        let step = self.current_step;
-        let runtime = self.runtimes.get_mut(&site).expect("site is up");
-        runtime.obs_mut().set_step(step);
-        runtime
-    }
-
-    /// Mirrors `Cluster::collect_site`, minus the mid-run oracle (the
-    /// coordinator no longer has a consistent global heap view while
-    /// workers run; safety is judged at the end of the run and by the
-    /// equivalence suite).
-    fn collect_site(&mut self, site: SiteId) {
-        let step = self.current_step;
-        let Some(runtime) = self.runtimes.get_mut(&site) else {
-            return;
-        };
-        runtime.obs_mut().set_step(step);
-        let outcome = runtime.collect();
-        let tick = if outcome.is_noop() {
-            None
-        } else {
-            Some(runtime.sync())
-        };
-        for freed in &outcome.freed {
-            self.reclaimed_addrs
-                .insert(GlobalAddr::from_parts(site, *freed));
-        }
-        self.reclaimed += outcome.freed.len() as u64;
-        if let Some(tick) = tick {
-            self.absorb(site, tick);
-        }
-    }
-
-    /// Books a runtime step's results: verdict counters and control-message
-    /// sends, followed by the checkpoint-cadence check — the worker-side
-    /// mirror of `Cluster::absorb_tick` + `after_step`.
-    fn absorb(&mut self, site: SiteId, tick: SiteTick<C::Msg>) {
-        if tick.verdicts_applied > 0 {
-            self.verdicts += tick.verdicts_applied;
-            let now = self.shared.deliveries.load(Ordering::SeqCst);
-            self.shared.last_verdict_at.fetch_max(now, Ordering::SeqCst);
-            self.shared
-                .last_verdict_step
-                .fetch_max(self.current_step, Ordering::SeqCst);
-        }
-        for (dest, msg) in tick.outgoing {
-            let now = self.shared.deliveries.load(Ordering::SeqCst);
-            self.shared.triggered_at.fetch_min(now, Ordering::SeqCst);
-            self.shared
-                .triggered_step
-                .fetch_min(self.current_step, Ordering::SeqCst);
-            self.send_payload(site, dest, &SimPayload::Control(msg));
-        }
-        if let Some(runtime) = self.runtimes.get_mut(&site) {
-            runtime.maybe_checkpoint();
-        }
-    }
-
-    /// Encodes `payload` into a wire frame and mails it to the worker
-    /// hosting `to`. The in-flight credit is raised *before* the send so
-    /// the termination barrier can never observe a frame-shaped gap.
-    fn send_payload(&mut self, from: SiteId, to: SiteId, payload: &SimPayload<C::Msg>) {
-        let frame = Frame::encode(payload);
-        // The shared frame-layer hook keeps byte accounting identical with
-        // the threaded transport's encode path.
-        let len = self.metrics.record_frame_sent(&frame);
-        let queued = self
+    /// Consumes one frame: decode at the mailbox, deliver to the hosted
+    /// site (or drop as loss if the site is down — the same semantics as
+    /// both transports), then release the credit — strictly after any
+    /// descendant sends were enqueued.
+    fn process_frame(&mut self, from: SiteId, to: SiteId, frame: Frame, step: u64) {
+        let len = frame.wire_len() as u64;
+        self.mail
             .shared
             .queued_bytes
-            .fetch_add(len as u64, Ordering::SeqCst)
-            + len as u64;
-        self.shared
-            .peak_queued_bytes
-            .fetch_max(queued, Ordering::SeqCst);
-        let credited = self.shared.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-        self.shared.credit_hwm.fetch_max(credited, Ordering::SeqCst);
-        self.shared.frames_sent.fetch_add(1, Ordering::SeqCst);
-        let dest = worker_of(to, self.workers);
-        if self.mailboxes[dest]
-            .send(Command::Frame { from, to, frame })
-            .is_err()
-        {
-            // Teardown race (coordinator gone): release the credit so any
-            // worker still draining can terminate.
-            self.shared
-                .queued_bytes
-                .fetch_sub(len as u64, Ordering::SeqCst);
-            self.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Consumes one frame: decode at the mailbox, deliver to the hosted
-    /// runtime (or drop as loss if the site is down), then release the
-    /// credit — strictly after any descendant sends were enqueued.
-    fn process_frame(&mut self, from: SiteId, to: SiteId, frame: Frame) {
-        self.shared
-            .queued_bytes
-            .fetch_sub(frame.wire_len() as u64, Ordering::SeqCst);
-        if self.runtimes.contains_key(&to) {
+            .fetch_sub(len, Ordering::SeqCst);
+        if self.fleet.is_up(to) {
             let payload: SimPayload<C::Msg> = frame
                 .decode()
                 .expect("wire frame decodes back to the payload that was sent");
-            self.metrics.record_frame_delivered(&frame);
-            self.shared.deliveries.fetch_add(1, Ordering::SeqCst);
-            let runtime = self.runtime(to);
-            let tick = match payload {
-                SimPayload::Reference { recipient, target } => {
-                    runtime.receive_reference(from, recipient, target)
-                }
-                SimPayload::Control(msg) => runtime.on_control(from, msg),
-            };
-            self.absorb(to, tick);
+            self.mail.metrics.record_frame_delivered(&frame);
+            self.mail.shared.deliveries.fetch_add(1, Ordering::SeqCst);
+            self.fleet.deliver(from, to, payload, step, &mut self.mail);
         } else {
-            // The site is down (or between crash and recover): the frame
-            // dies with the inbox, counted as loss — the same semantics as
-            // both transports.
-            self.metrics.record_frame_dropped(&frame);
+            self.mail.metrics.record_frame_dropped(&frame);
         }
-        self.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+        self.mail.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-/// The coordinator side of a parallel run, while workers are live.
+/// The coordinator side of a parallel run, while workers are live: the
+/// [`Executor`] that turns the plan's decisions into mailbox commands.
 struct Coordinator<C: Collector> {
     config: ClusterConfig,
     mailboxes: Vec<Sender<Command>>,
     replies: Receiver<Reply<C>>,
     shared: Arc<SharedState>,
-    names: BTreeMap<ObjName, GlobalAddr>,
-    /// Predicted next allocation id per site (`SiteHeap` allocates ids
-    /// 1, 2, … in order; recovery replays preserve the counter).
-    next_object: BTreeMap<SiteId, u64>,
-    legality: Option<Legality>,
-    /// Sites currently down, with their scheduled restart time.
-    downed: BTreeMap<SiteId, u64>,
-    crashes_applied: Vec<bool>,
-    workers: usize,
-    /// Current expected membership (up or temporarily crashed).
-    membership: BTreeSet<SiteId>,
-    /// Sites gone through a planned leave.
-    departed: BTreeSet<SiteId>,
-    /// Sites evicted (heaps retained worker-side for the oracle).
-    evicted: BTreeSet<SiteId>,
-    /// Every announcement so far, replayed to joiners as catch-up history.
-    membership_log: Vec<MembershipAnnouncement>,
-    /// The logical step clock — counts scenario steps exactly like the
-    /// sequential driver's, and is carried on every dispatched command.
-    step: u64,
-    /// Cluster-scope observability handle.
-    obs: SiteObs,
 }
 
 impl<C: Collector> Coordinator<C> {
-    fn site_is_up(&self, site: SiteId) -> bool {
-        self.membership.contains(&site) && !self.downed.contains_key(&site)
-    }
-
-    /// True when `addr` is hosted by a site that permanently left: ops
-    /// naming it are skipped, exactly like ops lost to a crash window.
-    fn addr_is_gone(&self, addr: GlobalAddr) -> bool {
-        self.departed.contains(&addr.site()) || self.evicted.contains(&addr.site())
-    }
-
-    fn send_to_site(&self, site: SiteId, op: SiteOp) {
-        let _ =
-            self.mailboxes[worker_of(site, self.workers)].send(Command::Op(site, op, self.step));
+    fn mail(&self, site: SiteId, command: Command) {
+        let _ = self.mailboxes[worker_of(site, self.mailboxes.len())].send(command);
     }
 
     fn broadcast(&self, make: impl Fn() -> Command) {
@@ -704,7 +390,7 @@ impl<C: Collector> Coordinator<C> {
     /// barrier cannot deadlock.
     fn await_acks(&self, expected: &'static str) -> u64 {
         let mut processed = 0;
-        for _ in 0..self.workers {
+        for _ in 0..self.mailboxes.len() {
             match self.replies.recv_timeout(PHASE_DEADLINE) {
                 Ok(Reply::DrainDone { processed: p }) if expected == "drain" => processed += p,
                 Ok(Reply::AtBarrier) if expected == "barrier" => {}
@@ -718,24 +404,41 @@ impl<C: Collector> Coordinator<C> {
         }
         processed
     }
+}
+
+impl<C: Collector> Executor for Coordinator<C> {
+    /// The shared delivery clock.
+    fn now(&self) -> u64 {
+        self.shared.deliveries.load(Ordering::SeqCst)
+    }
+
+    fn apply(&mut self, site: SiteId, op: SiteOp, step: u64) {
+        self.mail(site, Command::Op(site, op, step));
+    }
+
+    fn collect_all(&mut self, step: u64) {
+        self.broadcast(|| Command::Collect { ack: false, step });
+    }
 
     /// The parallel settle: an op barrier, then rounds of drain-then-
     /// collect until a round neither processed nor emitted a frame. The
     /// sequential settle's global round counter survives only as the
     /// safety valve; progress itself is judged by the termination barrier.
-    fn settle(&mut self) {
-        let step = self.step;
+    /// Crash windows are sampled before each drain and each collect (a
+    /// window opening mid-drain takes effect at the next boundary).
+    fn settle(&mut self, plan: &mut Plan) {
+        let step = plan.step();
         let mut rounds: u64 = 0;
         let mut delivered: u64 = 0;
         self.broadcast(|| Command::Barrier);
         self.await_acks("barrier");
         for _ in 0..self.config.settle_rounds() {
             rounds += 1;
-            self.lifecycle();
+            plan.lifecycle(self);
             self.broadcast(|| Command::Drain(step));
             let processed = self.await_acks("drain");
             delivered += processed;
-            self.lifecycle();
+            plan.lifecycle(self);
             let before = self.shared.frames_sent.load(Ordering::SeqCst);
             self.broadcast(|| Command::Collect { ack: true, step });
             self.await_acks("collect");
@@ -748,7 +451,7 @@ impl<C: Collector> Coordinator<C> {
         // sequential per-delivery loop) — a non-deterministic event. The
         // credit high-water mark is the run-so-far peak of the termination
         // barrier's in-flight pool.
-        self.obs.event(
+        plan.obs.event(
             "settle",
             false,
             &[
@@ -759,296 +462,60 @@ impl<C: Collector> Coordinator<C> {
         );
     }
 
-    /// Applies the fault plan's crash schedule against the shared delivery
-    /// clock — the parallel mirror of `Cluster::process_crash_lifecycle`,
-    /// sampled at op dispatch and settle-round boundaries (crash windows
-    /// opening mid-drain take effect at the next boundary).
-    fn lifecycle(&mut self) {
-        if self.crashes_applied.is_empty() && self.downed.is_empty() {
-            return;
-        }
-        let now = self.shared.deliveries.load(Ordering::SeqCst);
-        for index in 0..self.crashes_applied.len() {
-            let crash = self.config.faults.crashes()[index];
-            if self.crashes_applied[index] || now < crash.at_round {
-                continue;
-            }
-            self.crashes_applied[index] = true;
-            self.crash_site(crash.site, crash.restart_after);
-        }
-        let due: Vec<SiteId> = self
-            .downed
-            .iter()
-            .filter(|(_, &restart)| restart <= now)
-            .map(|(&site, _)| site)
-            .collect();
-        for site in due {
-            self.recover_site(site);
-        }
+    fn crash(&mut self, site: SiteId) {
+        self.mail(site, Command::Crash(site));
     }
 
-    fn crash_site(&mut self, site: SiteId, restart_after: u64) {
-        if let Some(restart) = self.downed.get_mut(&site) {
-            // Overlapping windows merely extend the outage.
-            *restart = (*restart).max(restart_after);
-            return;
-        }
-        self.downed.insert(site, restart_after);
-        let _ = self.mailboxes[worker_of(site, self.workers)].send(Command::Crash(site));
+    fn recover(&mut self, site: SiteId, step: u64) {
+        self.mail(site, Command::Recover(site, step));
     }
 
-    fn recover_site(&mut self, site: SiteId) {
-        if self.downed.remove(&site).is_some() {
-            let _ = self.mailboxes[worker_of(site, self.workers)]
-                .send(Command::Recover(site, self.step));
-        }
-    }
-
-    /// Resolves and dispatches one mutator op — the coordinator half of
-    /// `Cluster::execute`, with identical skip semantics.
-    fn dispatch(&mut self, op: MutatorOp) {
-        self.lifecycle();
-        match op {
-            MutatorOp::Alloc {
+    fn join(&mut self, site: SiteId, history: &[MembershipAnnouncement], step: u64) {
+        let history = history.to_vec();
+        self.mail(
+            site,
+            Command::Join {
                 site,
-                name,
-                local_root,
-            } => {
-                if !self.site_is_up(site) {
-                    return;
-                }
-                let next = self.next_object.entry(site).or_insert(1);
-                let addr = GlobalAddr::from_parts(site, ObjectId::new(*next));
-                *next += 1;
-                self.names.insert(name, addr);
-                if let Some(legality) = &mut self.legality {
-                    legality.note_alloc(name, site, local_root);
-                }
-                self.send_to_site(
-                    site,
-                    SiteOp::Alloc {
-                        local_root,
-                        expect: addr,
-                    },
-                );
-            }
-            MutatorOp::LinkLocal { site, from, to } => {
-                let (Some(&from_addr), Some(&to_addr)) =
-                    (self.names.get(&from), self.names.get(&to))
-                else {
-                    return;
-                };
-                if !self.site_is_up(site)
-                    || self.addr_is_gone(from_addr)
-                    || self.addr_is_gone(to_addr)
-                {
-                    return;
-                }
-                self.send_to_site(
-                    site,
-                    SiteOp::LinkLocal {
-                        from: from_addr,
-                        to: to_addr,
-                    },
-                );
-            }
-            MutatorOp::Unlink { site, from, to } => {
-                let (Some(&from_addr), Some(&to_addr)) =
-                    (self.names.get(&from), self.names.get(&to))
-                else {
-                    return;
-                };
-                if !self.site_is_up(site)
-                    || self.addr_is_gone(from_addr)
-                    || self.addr_is_gone(to_addr)
-                {
-                    return;
-                }
-                self.send_to_site(
-                    site,
-                    SiteOp::Unlink {
-                        from: from_addr,
-                        to: to_addr,
-                    },
-                );
-            }
-            MutatorOp::SendRef {
-                from_site,
-                recipient,
-                target,
-            } => {
-                let (Some(&recipient_addr), Some(&target_addr)) =
-                    (self.names.get(&recipient), self.names.get(&target))
-                else {
-                    return;
-                };
-                if !self.site_is_up(from_site)
-                    || self.addr_is_gone(recipient_addr)
-                    || self.addr_is_gone(target_addr)
-                {
-                    return;
-                }
-                if let Some(legality) = &mut self.legality {
-                    if !legality.approve_send(target, from_site, recipient, recipient_addr.site()) {
-                        return;
-                    }
-                }
-                self.send_to_site(
-                    from_site,
-                    SiteOp::SendRef {
-                        target: target_addr,
-                        recipient: recipient_addr,
-                    },
-                );
-            }
-            MutatorOp::DropLocalRoot { site, name } => {
-                let Some(&addr) = self.names.get(&name) else {
-                    return;
-                };
-                if !self.site_is_up(site) || self.addr_is_gone(addr) {
-                    return;
-                }
-                self.send_to_site(site, SiteOp::DropLocalRoot { addr });
-            }
-            MutatorOp::ClearRefs { site, name } => {
-                let Some(&addr) = self.names.get(&name) else {
-                    return;
-                };
-                if !self.site_is_up(site) || self.addr_is_gone(addr) {
-                    return;
-                }
-                self.send_to_site(site, SiteOp::ClearRefs { addr });
-            }
-            MutatorOp::CollectSite { site } => {
-                if self.site_is_up(site) {
-                    self.send_to_site(site, SiteOp::Collect);
-                }
-            }
-            MutatorOp::CollectAll => {
-                let step = self.step;
-                self.broadcast(|| Command::Collect { ack: false, step });
-            }
-        }
-    }
-
-    /// Records `ann` in the history and mails it to every worker. FIFO
-    /// mailbox order guarantees a preceding `Join`/`Remove`/`Evict` command
-    /// on the owning worker lands before the announcement does.
-    fn announce(&mut self, ann: MembershipAnnouncement) {
-        self.obs.event(
-            "membership",
-            true,
-            &[
-                ("epoch", ann.epoch),
-                ("site", u64::from(ann.site.index())),
-                ("kind", membership_kind_code(ann.kind)),
-            ],
+                history,
+                step,
+            },
         );
-        self.membership_log.push(ann);
-        let step = self.step;
-        self.broadcast(|| Command::Membership(ann, step));
     }
 
-    /// The parallel half of the elastic-membership protocol — same
-    /// join / planned-leave / evict sequencing as
-    /// [`Cluster::execute_membership`](crate::Cluster), with the settle
-    /// barriers standing in for the sequential quiesce points.
-    fn execute_membership(&mut self, ev: MembershipEvent) {
-        self.lifecycle();
-        let site = ev.site;
-        match ev.kind {
-            MembershipKind::Join => {
-                if self.membership.contains(&site)
-                    || self.departed.contains(&site)
-                    || self.evicted.contains(&site)
-                {
-                    return;
-                }
-                self.membership.insert(site);
-                let history = self.membership_log.clone();
-                let _ = self.mailboxes[worker_of(site, self.workers)].send(Command::Join {
-                    site,
-                    history,
-                    step: self.step,
-                });
-                self.announce(MembershipAnnouncement {
-                    epoch: ev.epoch,
-                    kind: MembershipChange::Join,
-                    site,
-                });
-                self.settle();
-            }
-            MembershipKind::PlannedLeave => {
-                if !self.membership.contains(&site) {
-                    return;
-                }
-                if self.downed.contains_key(&site) {
-                    // A crashed site can still leave in an orderly fashion:
-                    // recover its durable state first, then hand off.
-                    self.recover_site(site);
-                }
-                // Quiesce so the departing site's DkLog drains, hand off on
-                // every survivor, quiesce again, then dissolve + announce.
-                self.settle();
-                self.obs.event(
-                    "handoff",
-                    true,
-                    &[("epoch", ev.epoch), ("departing", u64::from(site.index()))],
-                );
-                let step = self.step;
-                self.broadcast(|| Command::Handoff {
-                    departing: site,
-                    epoch: ev.epoch,
-                    step,
-                });
-                self.settle();
-                let _ = self.mailboxes[worker_of(site, self.workers)].send(Command::Remove(site));
-                self.membership.remove(&site);
-                self.departed.insert(site);
-                self.announce(MembershipAnnouncement {
-                    epoch: ev.epoch,
-                    kind: MembershipChange::PlannedLeave,
-                    site,
-                });
-                self.settle();
-            }
-            MembershipKind::Evict => {
-                if !self.membership.contains(&site) {
-                    return;
-                }
-                if self.downed.contains_key(&site) {
-                    // Recover first so the eviction can keep a heap for the
-                    // oracle (replay reconstructs the crash-time heap).
-                    self.recover_site(site);
-                }
-                let _ = self.mailboxes[worker_of(site, self.workers)].send(Command::Evict(site));
-                self.membership.remove(&site);
-                self.evicted.insert(site);
-                self.announce(MembershipAnnouncement {
-                    epoch: ev.epoch,
-                    kind: MembershipChange::Evict,
-                    site,
-                });
-                self.settle();
-            }
-        }
+    fn handoff(&mut self, departing: SiteId, epoch: u64, step: u64) {
+        self.broadcast(|| Command::Handoff {
+            departing,
+            epoch,
+            step,
+        });
+    }
+
+    fn dissolve(&mut self, site: SiteId) {
+        self.mail(site, Command::Dissolve(site));
+    }
+
+    fn evict(&mut self, site: SiteId) {
+        self.mail(site, Command::Evict(site));
+    }
+
+    /// FIFO mailbox order guarantees a preceding join, dissolve or evict
+    /// on the owning worker lands before the announcement does.
+    fn announce(&mut self, ann: MembershipAnnouncement, step: u64) {
+        self.broadcast(|| Command::Announce(ann, step));
     }
 }
 
-/// The end state of a parallel run: every site runtime reassembled on the
-/// coordinator, ready for oracle inspection — the parallel counterpart of a
+/// The end state of a parallel run: the worker shards reassembled into one
+/// fleet, ready for oracle inspection — the parallel counterpart of a
 /// finished [`Cluster`](crate::Cluster).
 pub struct ParallelCluster<C: Collector> {
-    sites: BTreeMap<SiteId, SiteRuntime<C>>,
-    reclaimed_addrs: BTreeSet<GlobalAddr>,
-    recoveries: u64,
-    /// Heaps of evicted sites — their objects conservatively still exist.
-    evicted: BTreeMap<SiteId, SiteHeap>,
+    fleet: Fleet<C>,
     /// Sites gone through a planned leave over the run.
     departed: BTreeSet<SiteId>,
-    /// Cluster-scope observability handle (network aggregates already
-    /// absorbed as auxiliary gauges at end of run).
+    /// Cluster-scope observability handle.
     obs: SiteObs,
+    /// The run's wire metrics, for the observability report.
+    net: NetMetrics,
 }
 
 impl<C> ParallelCluster<C>
@@ -1095,50 +562,27 @@ where
 
         // Build the shards and the mailbox mesh.
         let (reply_tx, replies) = unbounded::<Reply<C>>();
-        let mut mailboxes = Vec::with_capacity(workers);
-        let mut receivers = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = unbounded::<Command>();
-            mailboxes.push(tx);
-            receivers.push(rx);
-        }
+        let (mailboxes, receivers): (Vec<_>, Vec<_>) =
+            (0..workers).map(|_| unbounded::<Command>()).unzip();
         let mut handles = Vec::with_capacity(workers);
         for (index, rx) in receivers.into_iter().enumerate() {
-            let mut runtimes = BTreeMap::new();
-            for i in 0..site_count {
-                let site = SiteId::new(i);
-                if worker_of(site, workers) != index {
-                    continue;
+            let mut fleet = Fleet::new(&config);
+            for site in (0..site_count).map(SiteId::new) {
+                if worker_of(site, workers) == index {
+                    fleet.open(site, factory(site));
                 }
-                let mut runtime = SiteRuntime::with_mode(site, factory(site), config.sync_mode)
-                    .with_obs(SiteObs::new(Some(site), &config.obs));
-                if let Some(store) = SiteStore::open(site, &config.durability) {
-                    runtime = runtime.with_store(store);
-                }
-                runtimes.insert(site, runtime);
             }
             let worker = Worker {
                 index,
-                runtimes,
-                downed: BTreeMap::new(),
-                downed_obs: BTreeMap::new(),
-                pending_catchup: BTreeMap::new(),
-                evicted: BTreeMap::new(),
-                durability: config.durability.clone(),
-                pending: VecDeque::new(),
-                mailboxes: mailboxes.clone(),
-                replies: reply_tx.clone(),
-                shared: Arc::clone(&shared),
-                metrics: NetMetrics::new(),
-                reclaimed: 0,
-                reclaimed_addrs: BTreeSet::new(),
-                verdicts: 0,
-                recoveries: 0,
+                fleet,
                 factory: factory.clone(),
-                sync_mode: config.sync_mode,
-                workers,
-                obs_config: config.obs,
-                current_step: 0,
+                pending: VecDeque::new(),
+                mail: Mail {
+                    mailboxes: mailboxes.clone(),
+                    shared: Arc::clone(&shared),
+                    metrics: NetMetrics::new(),
+                },
+                replies: reply_tx.clone(),
             };
             handles.push(
                 std::thread::Builder::new()
@@ -1149,76 +593,26 @@ where
         }
         drop(reply_tx);
 
-        let crashes_applied = vec![false; config.faults.crashes().len()];
-        let legality = if config.faults.crashes().is_empty() && !scenario.has_membership() {
-            None
-        } else {
-            Some(Legality::default())
-        };
-        let obs = SiteObs::new(None, &config.obs);
+        // Drive the scenario: ops stream to the shards, settles synchronize.
+        let mut plan = Plan::new(site_count, &config);
         let mut coordinator = Coordinator::<C> {
             config,
             mailboxes,
             replies,
             shared: Arc::clone(&shared),
-            names: BTreeMap::new(),
-            next_object: BTreeMap::new(),
-            legality,
-            downed: BTreeMap::new(),
-            crashes_applied,
-            workers,
-            membership: (0..site_count).map(SiteId::new).collect(),
-            departed: BTreeSet::new(),
-            evicted: BTreeSet::new(),
-            membership_log: Vec::new(),
-            step: 0,
-            obs,
         };
-
-        // Drive the scenario: ops stream to the shards, settles synchronize.
-        // The step clock counts scenario steps exactly like the sequential
-        // driver's (first step = 1, end-of-run completion = one more).
-        for step in scenario.steps() {
-            coordinator.step += 1;
-            let current = coordinator.step;
-            coordinator.obs.set_step(current);
-            match step {
-                Step::Op(op) => coordinator.dispatch(*op),
-                Step::Settle => coordinator.settle(),
-                Step::Membership(ev) => coordinator.execute_membership(*ev),
-            }
-        }
-        coordinator.step += 1;
-        let final_step = coordinator.step;
-        coordinator.obs.set_step(final_step);
-        coordinator.settle();
-        if !coordinator.downed.is_empty() {
-            let sites: Vec<SiteId> = coordinator.downed.keys().copied().collect();
-            for site in sites {
-                coordinator.recover_site(site);
-            }
-            coordinator.settle();
-        }
+        plan.run(&mut coordinator, scenario);
 
         // Shut down and reassemble.
         coordinator.broadcast(|| Command::Shutdown);
-        let mut sites = BTreeMap::new();
+        let mut fleet = Fleet::new(&coordinator.config);
         let mut net = NetMetrics::new();
-        let mut reclaimed = 0;
-        let mut reclaimed_addrs = BTreeSet::new();
-        let mut verdicts = 0;
-        let mut recoveries = 0;
-        let mut evicted = BTreeMap::new();
         for _ in 0..workers {
             match coordinator.replies.recv_timeout(PHASE_DEADLINE) {
                 Ok(Reply::Finished(state)) => {
-                    sites.extend(state.runtimes);
-                    net.absorb(&state.metrics);
-                    reclaimed += state.reclaimed;
-                    reclaimed_addrs.extend(state.reclaimed_addrs);
-                    verdicts += state.verdicts;
-                    recoveries += state.recoveries;
-                    evicted.extend(state.evicted);
+                    let (shard, metrics) = *state;
+                    fleet.merge(shard);
+                    net.absorb(&metrics);
                 }
                 Ok(other) => panic!(
                     "parallel protocol violation: got {} while awaiting shutdown",
@@ -1233,68 +627,29 @@ where
         net.note_peak_queued(shared.peak_queued_bytes.load(Ordering::SeqCst));
 
         assert_eq!(
-            sites.len(),
-            coordinator.membership.len(),
+            fleet.sites().len(),
+            plan.members().len(),
             "every member site must be up and returned at end of run"
         );
-        let residual = Oracle::garbage(
-            sites
-                .values()
-                .map(SiteRuntime::heap)
-                .chain(evicted.values()),
-        )
-        .len() as u64;
-        let allocated = sites.values().map(|rt| rt.heap().stats().allocated).sum();
+        let verdicts = fleet.verdicts;
         let triggered = shared.triggered_at.load(Ordering::SeqCst);
         let triggered_step = shared.triggered_step.load(Ordering::SeqCst);
-        let mut cluster_obs = coordinator.obs.take();
-        if cluster_obs.is_enabled() {
-            // The network aggregates live in the report's metrics snapshot;
-            // mirror them as auxiliary gauges before `net` moves out.
-            cluster_obs.set_gauge_aux("net_control_messages_sent", net.control_messages_sent());
-            cluster_obs.set_gauge_aux("net_mutator_messages_sent", net.mutator_messages_sent());
-            cluster_obs.set_gauge_aux("net_control_bytes_sent", net.control_bytes_sent());
-            cluster_obs.set_gauge_aux("net_mutator_bytes_sent", net.mutator_bytes_sent());
-            // Per-(class, payload-label) breakdown, mirroring the sequential
-            // driver's teardown events. Aux: the worker mesh only frames
-            // cross-worker traffic, so volumes are transport-shaped.
-            for row in net.bucket_rows() {
-                cluster_obs.event_labeled(
-                    "msg-class",
-                    row.key.to_string(),
-                    false,
-                    &[
-                        ("sent", row.sent),
-                        ("delivered", row.delivered),
-                        ("dropped", row.dropped),
-                        ("bytes", row.bytes_sent),
-                    ],
-                );
-            }
-        }
         let report = RunReport {
             collector: collector_name,
-            sites: sites.len() as u32,
-            allocated,
-            reclaimed,
-            safety_violations: 0,
-            residual_garbage: residual,
-            verdicts,
             finished_at: shared.deliveries.load(Ordering::SeqCst),
             last_verdict_at: (verdicts > 0).then(|| shared.last_verdict_at.load(Ordering::SeqCst)),
             triggered_at: (triggered != u64::MAX).then_some(triggered),
             triggered_step: (triggered_step != u64::MAX).then_some(triggered_step),
             last_verdict_step: (verdicts > 0)
                 .then(|| shared.last_verdict_step.load(Ordering::SeqCst)),
-            net,
+            net: net.clone(),
+            ..fleet.report()
         };
         let cluster = ParallelCluster {
-            sites,
-            reclaimed_addrs,
-            recoveries,
-            evicted,
-            departed: coordinator.departed.clone(),
-            obs: cluster_obs,
+            fleet,
+            departed: plan.departed().clone(),
+            obs: plan.obs,
+            net,
         };
         (report, cluster)
     }
@@ -1303,33 +658,19 @@ where
 impl<C: Collector> ParallelCluster<C> {
     /// Read access to a site's heap.
     pub fn heap(&self, site: SiteId) -> &SiteHeap {
-        self.sites[&site].heap()
+        self.fleet.heap(site)
     }
 
     /// Iterates over every site's heap — member sites plus evicted heaps
     /// (the latter conservatively still exist for the oracle).
     pub fn heaps(&self) -> impl Iterator<Item = &SiteHeap> {
-        self.sites
-            .values()
-            .map(SiteRuntime::heap)
-            .chain(self.evicted.values())
+        self.fleet.heaps()
     }
 
     /// The sites whose collector state or heap still references `departed`.
     /// Empty after a planned leave, on any worker count.
     pub fn sites_mentioning(&self, departed: SiteId) -> Vec<SiteId> {
-        self.sites
-            .iter()
-            .filter(|(_, rt)| {
-                rt.collector().mentions_site(departed)
-                    || rt
-                        .heap()
-                        .remote_targets()
-                        .iter()
-                        .any(|addr| addr.site() == departed)
-            })
-            .map(|(&s, _)| s)
-            .collect()
+        self.fleet.sites_mentioning(departed)
     }
 
     /// Sites gone through a planned leave over the run.
@@ -1339,12 +680,12 @@ impl<C: Collector> ParallelCluster<C> {
 
     /// Sites evicted over the run.
     pub fn evicted_sites(&self) -> impl Iterator<Item = SiteId> + '_ {
-        self.evicted.keys().copied()
+        self.fleet.evicted_sites()
     }
 
     /// The addresses of every object reclaimed by local collections.
     pub fn reclaimed_addrs(&self) -> &BTreeSet<GlobalAddr> {
-        &self.reclaimed_addrs
+        &self.fleet.reclaimed_addrs
     }
 
     /// The residual-garbage set at end of run, per the oracle.
@@ -1354,29 +695,19 @@ impl<C: Collector> ParallelCluster<C> {
 
     /// Number of site recoveries performed over the run.
     pub fn recoveries(&self) -> u64 {
-        self.recoveries
+        self.fleet.recoveries
     }
 
     /// True when the site's runtime came back up (always, for a completed
     /// run — the driver recovers every downed site before reporting).
     pub fn site_is_up(&self, site: SiteId) -> bool {
-        self.sites.contains_key(&site)
+        self.fleet.is_up(site)
     }
 
     /// Aggregated durable-store counters across every site. All zeros with
     /// durability off.
     pub fn store_stats(&self) -> StoreStats {
-        let mut total = StoreStats::default();
-        for runtime in self.sites.values() {
-            if let Some(store) = runtime.store() {
-                let stats = store.stats();
-                total.records_appended += stats.records_appended;
-                total.wal_bytes_appended += stats.wal_bytes_appended;
-                total.checkpoints_installed += stats.checkpoints_installed;
-                total.records_replayed += stats.records_replayed;
-            }
-        }
-        total
+        self.fleet.store_stats()
     }
 
     /// Assembles the observability report — the parallel counterpart of
@@ -1384,33 +715,7 @@ impl<C: Collector> ParallelCluster<C> {
     /// scope structure and auxiliary gauges. Empty/disabled when
     /// [`ClusterConfig::obs`] is off.
     pub fn obs_report(&self) -> ObsReport {
-        let mut cluster_obs = self.obs.clone();
-        if cluster_obs.is_enabled() {
-            let stats = self.store_stats();
-            cluster_obs.set_gauge_aux("store_records_appended", stats.records_appended);
-            cluster_obs.set_gauge_aux("store_wal_bytes_appended", stats.wal_bytes_appended);
-            cluster_obs.set_gauge_aux("store_checkpoints_installed", stats.checkpoints_installed);
-            cluster_obs.set_gauge_aux("store_records_replayed", stats.records_replayed);
-            cluster_obs.set_gauge_aux("recoveries", self.recoveries);
-        }
-        let site_obs: Vec<SiteObs> = self
-            .sites
-            .values()
-            .map(|runtime| {
-                let mut obs = runtime.obs().clone();
-                if obs.is_enabled() {
-                    for (name, value) in runtime.collector().obs_counters() {
-                        obs.set_gauge_aux(name, value);
-                    }
-                    let heap = runtime.heap().stats();
-                    obs.set_gauge_aux("heap_allocated", heap.allocated);
-                    obs.set_gauge_aux("heap_collected", heap.collected);
-                    obs.set_gauge_aux("heap_collections", heap.collections);
-                }
-                obs
-            })
-            .collect();
-        ObsReport::assemble(&cluster_obs, site_obs.iter())
+        self.fleet.obs_report(&self.obs, &self.net)
     }
 }
 
@@ -1537,6 +842,53 @@ mod tests {
             // No handoff on evict: the survivor still references the
             // evicted heap, which conservatively still exists.
             assert!(!cluster.sites_mentioning(victim).is_empty());
+        }
+    }
+
+    #[test]
+    fn evicting_a_downed_site_matches_the_sequential_driver() {
+        // Site 2 crashes on the first delivery and is evicted while still
+        // down: no ceremony, so no recovery on either driver — the oracle
+        // keeps its crash-time heap.
+        let victim = SiteId::new(2);
+        let mut s = Scenario::new(3);
+        let a = s.alloc(SiteId::new(0), true);
+        let c = s.alloc(victim, true);
+        s.send_ref(victim, a, c);
+        s.settle();
+        s.evict(victim);
+        s.settle();
+        let config = ClusterConfig {
+            faults: ggd_net::FaultPlan::new().with_crash(victim, 1, 1_000_000),
+            durability: ggd_store::DurabilityConfig::memory(),
+            ..ClusterConfig::default()
+        };
+        let (seq_report, seq) = Cluster::run_seeded(&s, config.clone(), CausalCollector::new);
+        assert_eq!(seq.recoveries(), 0);
+        assert_eq!(seq.evicted_sites().collect::<Vec<_>>(), vec![victim]);
+        for workers in [1, 2] {
+            let (report, cluster) = ParallelCluster::run_seeded(
+                &s,
+                ClusterConfig {
+                    workers,
+                    safety_oracle: false,
+                    ..config.clone()
+                },
+                CausalCollector::new,
+            );
+            assert_eq!(cluster.recoveries(), 0, "workers={workers}");
+            assert_eq!(
+                cluster.evicted_sites().collect::<Vec<_>>(),
+                vec![victim],
+                "workers={workers}"
+            );
+            assert_eq!(cluster.garbage_addrs(), seq.garbage_addrs());
+            assert_eq!(
+                (report.sites, report.allocated, report.reclaimed),
+                (seq_report.sites, seq_report.allocated, seq_report.reclaimed),
+                "workers={workers}"
+            );
+            assert_eq!(report.residual_garbage, seq_report.residual_garbage);
         }
     }
 
